@@ -18,6 +18,13 @@ echo "== cargo test"
 # with PROPTEST_CASES=N (0 skips generated cases entirely).
 PROPTEST_CASES="${PROPTEST_CASES:-64}" cargo test -q --workspace
 
+echo "== benchmark self-test (release)"
+# perfbench/ is a package of its own (outside the workspace above) that
+# drives the simulator only through public items; building and testing
+# it here makes a change to one of those items fail CI, not the next
+# benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== paranoid invariant sweep (release)"
 # All 15 workloads under every design with the gvc::check invariant
 # checker on (tests/tests/paranoid.rs also covers one workload per

@@ -9,10 +9,9 @@
 //! L1s are small, clean, and low-hit-rate), a filter miss discards the
 //! request.
 
-use gvc_engine::Counter;
+use gvc_engine::{Counter, FxHashMap};
 use gvc_mem::{Asid, Vpn};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Filter statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,7 +37,7 @@ pub struct InvalFilterStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct InvalFilter {
-    counters: HashMap<(Asid, Vpn), u32>,
+    counters: FxHashMap<(Asid, Vpn), u32>,
     max_occupancy: usize,
     stats: InvalFilterStats,
 }

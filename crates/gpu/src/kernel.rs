@@ -7,6 +7,23 @@
 //! compute delays. Iterative workloads (BFS levels, PageRank sweeps)
 //! implement [`KernelSource`] to emit one kernel per host-side
 //! iteration.
+//!
+//! # Deferred waves
+//!
+//! The run loop pulls a wave's first op when the wave first issues, so
+//! a program added with [`KernelBuilder::lazy_wave`] can defer building
+//! its op list until then — every workload in `gvc_workloads` does.
+//! A kernel then holds one small generator per wave rather than every
+//! wave's lane vectors, so kernel build memory no longer grows with
+//! wave count, and each op list is built just before it is read.
+//!
+//! The contract: a generator reads only state frozen when
+//! [`KernelSource::next_kernel`] returned (shared `Arc`s, `Copy`
+//! arrays, chunk bounds) and advances nothing shared across waves.
+//! The scheduler decides when each generator runs; if a generator read
+//! state another wave's generator changes, that schedule order would
+//! leak into the op stream. [`KernelBuilder::wave`], an eager op list,
+//! is the path for tests and hand-built kernels.
 
 use gvc_mem::{Asid, VAddr};
 
@@ -106,13 +123,17 @@ pub struct KernelBuilder {
 }
 
 impl KernelBuilder {
-    /// Adds a wavefront with an eagerly specified op list.
+    /// Adds a wavefront with an eagerly specified op list — the path
+    /// for tests and hand-built kernels. Workloads defer their op lists
+    /// through [`KernelBuilder::lazy_wave`] (see the
+    /// [module docs](self#deferred-waves)).
     pub fn wave(mut self, ops: Vec<WaveOp>) -> Self {
         self.kernel.waves.push(Box::new(ops.into_iter()));
         self
     }
 
-    /// Adds a wavefront with a lazy program.
+    /// Adds a wavefront with a lazy program, pulled one op at a time
+    /// from the wave's first issue on.
     pub fn lazy_wave(mut self, program: WaveProgram) -> Self {
         self.kernel.waves.push(program);
         self

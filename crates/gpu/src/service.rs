@@ -179,14 +179,16 @@ pub(crate) fn jain_index(rates: &[f64]) -> f64 {
     (sum * sum) / (rates.len() as f64 * sq)
 }
 
-/// Per-CU outstanding-request admission (same shape as the run loop's
-/// MSHR limit in [`crate::sim`]).
+/// Per-CU outstanding-request tracker (the L1 MSHR admission limit),
+/// shared by [`crate::sim::GpuSim`], [`run_service`] and soak.
 #[derive(Debug, Default)]
 pub(crate) struct Outstanding {
     completions: BinaryHeap<Reverse<Cycle>>,
 }
 
 impl Outstanding {
+    /// Admits a request arriving at `at` under `cap` outstanding
+    /// requests; returns the (possibly delayed) admission time.
     pub(crate) fn admit(&mut self, at: Cycle, cap: usize) -> Cycle {
         while let Some(&Reverse(done)) = self.completions.peek() {
             if done <= at {
@@ -203,6 +205,7 @@ impl Outstanding {
         }
     }
 
+    /// Records an admitted request completing at `done`.
     pub(crate) fn track(&mut self, done: Cycle) {
         self.completions.push(Reverse(done));
     }

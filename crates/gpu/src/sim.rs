@@ -10,6 +10,7 @@
 
 use crate::coalescer::{coalesce_into, CoalesceStats};
 use crate::kernel::{KernelSource, WaveOp, WaveProgram};
+use crate::service::Outstanding;
 use gvc::{inject, InjectEvent, InjectPlan, InjectReport};
 use gvc::{LineAccess, MemReport, MemorySystem, SystemConfig};
 use gvc_engine::time::{Cycle, Duration};
@@ -17,8 +18,7 @@ use gvc_engine::{EventQueue, ThroughputPort, TraceCause, TraceHandle};
 use gvc_mem::{OsLite, ProcessId};
 use gvc_soc::{Probe, ProbeInjector, ProbeKind};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// GPU front-end configuration (Table 1 defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -126,36 +126,6 @@ impl RunReport {
     /// baseline.cycles) — Figure 4's metric.
     pub fn relative_time_to(&self, baseline: &RunReport) -> f64 {
         self.cycles as f64 / baseline.cycles.max(1) as f64
-    }
-}
-
-/// Per-CU outstanding-request tracker (the L1 MSHR admission limit).
-#[derive(Debug, Default)]
-struct Outstanding {
-    completions: BinaryHeap<Reverse<Cycle>>,
-}
-
-impl Outstanding {
-    /// Admits a request arriving at `at` under `cap` outstanding
-    /// requests; returns the (possibly delayed) admission time.
-    fn admit(&mut self, at: Cycle, cap: usize) -> Cycle {
-        while let Some(&Reverse(done)) = self.completions.peek() {
-            if done <= at {
-                self.completions.pop();
-            } else {
-                break;
-            }
-        }
-        if self.completions.len() < cap {
-            at
-        } else {
-            let Reverse(done) = self.completions.pop().expect("cap > 0 checked at config");
-            done.max(at)
-        }
-    }
-
-    fn track(&mut self, done: Cycle) {
-        self.completions.push(Reverse(done));
     }
 }
 
@@ -493,12 +463,32 @@ mod tests {
     use super::*;
     use crate::kernel::{Kernel, KernelList};
     use gvc_mem::{Perms, VRange, PAGE_BYTES};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn setup(pages: u64) -> (OsLite, gvc_mem::ProcessId, VRange) {
         let mut os = OsLite::new(256 << 20);
         let pid = os.create_process();
         let r = os.mmap(pid, pages * PAGE_BYTES, Perms::READ_WRITE).unwrap();
         (os, pid, r)
+    }
+
+    /// The op lists of `waves` waves streaming through `r`.
+    fn streaming_ops(r: &VRange, waves: usize, ops_per_wave: usize) -> Vec<Vec<WaveOp>> {
+        (0..waves)
+            .map(|w| {
+                let mut ops = Vec::new();
+                for o in 0..ops_per_wave {
+                    let base = ((w * ops_per_wave + o) * 32 * 4) as u64 % (r.bytes() - 128);
+                    let addrs: Vec<_> = (0..32)
+                        .map(|l| r.addr_at((base + l * 4) % r.bytes()))
+                        .collect();
+                    ops.push(WaveOp::read(addrs));
+                    ops.push(WaveOp::compute(4));
+                }
+                ops
+            })
+            .collect()
     }
 
     fn streaming_kernel(
@@ -508,19 +498,98 @@ mod tests {
         ops_per_wave: usize,
     ) -> Kernel {
         let mut b = Kernel::builder("stream", asid);
-        for w in 0..waves {
-            let mut ops = Vec::new();
-            for o in 0..ops_per_wave {
-                let base = ((w * ops_per_wave + o) * 32 * 4) as u64 % (r.bytes() - 128);
-                let addrs: Vec<_> = (0..32)
-                    .map(|l| r.addr_at((base + l * 4) % r.bytes()))
-                    .collect();
-                ops.push(WaveOp::read(addrs));
-                ops.push(WaveOp::compute(4));
-            }
+        for ops in streaming_ops(r, waves, ops_per_wave) {
             b = b.wave(ops);
         }
         b.build()
+    }
+
+    /// A wave whose ops are handed over only when the scheduler first
+    /// pulls from it; `runs` counts the generators that have run.
+    fn deferred(ops: Vec<WaveOp>, runs: &Arc<AtomicUsize>) -> WaveProgram {
+        let runs = Arc::clone(runs);
+        Box::new(
+            std::iter::once_with(move || {
+                runs.fetch_add(1, Ordering::SeqCst);
+                ops
+            })
+            .flatten(),
+        )
+    }
+
+    /// Wraps a source and checks, at every `next_kernel` return, that
+    /// exactly the earlier kernels' generators have run: none of the
+    /// returned kernel's, and every one of the kernels before it.
+    struct RunsAtReturn<S> {
+        inner: S,
+        runs: Arc<AtomicUsize>,
+        waves_returned: usize,
+    }
+
+    impl<S: KernelSource> KernelSource for RunsAtReturn<S> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn next_kernel(&mut self) -> Option<Kernel> {
+            let k = self.inner.next_kernel()?;
+            assert_eq!(
+                self.runs.load(Ordering::SeqCst),
+                self.waves_returned,
+                "a generator ran early, or an earlier wave never ran"
+            );
+            self.waves_returned += k.waves.len();
+            Some(k)
+        }
+    }
+
+    #[test]
+    fn deferred_waves_run_once_at_first_issue() {
+        let (mut os, pid, r) = setup(64);
+        let (kernels, waves, ops_per_wave) = (3, 12, 6);
+        let eager = || {
+            let ks = (0..kernels)
+                .map(|_| streaming_kernel(&r, pid.asid(), waves, ops_per_wave))
+                .collect();
+            KernelList::new("stream", ks)
+        };
+        let runs = Arc::new(AtomicUsize::new(0));
+        let lazy = || {
+            let ks = (0..kernels)
+                .map(|_| {
+                    let mut b = Kernel::builder("stream", pid.asid());
+                    for ops in streaming_ops(&r, waves, ops_per_wave) {
+                        b = b.lazy_wave(deferred(ops, &runs));
+                    }
+                    b.build()
+                })
+                .collect();
+            KernelList::new("stream", ks)
+        };
+        let mut src = RunsAtReturn {
+            inner: lazy(),
+            runs: Arc::clone(&runs),
+            waves_returned: 0,
+        };
+        assert_eq!(
+            runs.load(Ordering::SeqCst),
+            0,
+            "built kernels ran a generator"
+        );
+        let sim = || GpuSim::new(GpuConfig::default(), SystemConfig::vc_with_opt());
+        let deferred_rep = sim().run(&mut src, &mut os);
+        assert_eq!(src.waves_returned, kernels * waves);
+        assert_eq!(
+            runs.load(Ordering::SeqCst),
+            kernels * waves,
+            "every generator runs exactly once"
+        );
+        let eager_rep = sim().run(&mut eager(), &mut os);
+        assert_eq!(
+            serde_json::to_string(&deferred_rep).unwrap(),
+            serde_json::to_string(&eager_rep).unwrap(),
+            "deferring a wave's ops must not change the run"
+        );
     }
 
     #[test]

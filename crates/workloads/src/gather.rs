@@ -10,9 +10,10 @@
 //! paper's Observation 2.
 
 use crate::arrays::DevArray;
+use crate::deferred_wave;
 use crate::graphs::Graph;
-use gvc_gpu::kernel::WaveOp;
-use gvc_mem::VAddr;
+use gvc_gpu::kernel::{Kernel, WaveOp};
+use gvc_mem::{Asid, VAddr};
 use std::sync::Arc;
 
 /// Lanes per wavefront.
@@ -37,11 +38,23 @@ pub struct GatherSpec {
     pub vertex_reads: Vec<DevArray>,
     /// Arrays written once per active vertex at wave end.
     pub vertex_writes: Vec<DevArray>,
+    /// Writes scattered to gathered neighbors (MIS removals...).
+    pub scatter: Option<Scatter>,
     /// Cap on edge rounds per wave (truncates extreme hubs to bound
     /// kernel length; the locality effect of hubs is preserved).
     pub max_rounds: u32,
     /// Insert an ALU op every this many edge rounds.
     pub compute_every: u32,
+}
+
+/// A write scattered to gathered neighbors: each round writes
+/// `array[t]` for every gathered neighbor `t` with `hit[t]` set.
+#[derive(Clone)]
+pub struct Scatter {
+    /// The written array, indexed by neighbor id.
+    pub array: DevArray,
+    /// Which neighbors receive the write (one flag per vertex).
+    pub hit: Vec<bool>,
 }
 
 impl GatherSpec {
@@ -55,96 +68,106 @@ impl GatherSpec {
             edge_streams: Vec::new(),
             vertex_reads: Vec::new(),
             vertex_writes: Vec::new(),
+            scatter: None,
             max_rounds: 24,
             compute_every: 4,
         }
     }
 }
 
-/// Builds the wavefront op lists for one gather kernel over the
-/// `active` vertices (32 per wave). `target_write`, when provided,
-/// scatters a write to the given array at each gathered neighbor for
-/// which the predicate holds (BFS distance updates, MIS removals...).
-pub fn gather_waves(
-    spec: &GatherSpec,
-    active: &[u32],
-    target_write: Option<(&DevArray, &dyn Fn(u32) -> bool)>,
-) -> Vec<Vec<WaveOp>> {
+/// One gather kernel over the `active` vertices, 32 per wave. Each
+/// wave's ops are built by [`gather_wave`] at the wave's first issue,
+/// from the spec and active list frozen here.
+pub fn gather_kernel(name: String, asid: Asid, spec: GatherSpec, active: Vec<u32>) -> Kernel {
+    let lanes = LANES as usize;
+    let waves = active.len().div_ceil(lanes);
+    let frozen = Arc::new((spec, active));
+    let mut b = Kernel::builder(name, asid);
+    for w in 0..waves {
+        let frozen = Arc::clone(&frozen);
+        b = b.lazy_wave(deferred_wave(move || {
+            let (spec, active) = &*frozen;
+            let chunk = &active[w * lanes..((w + 1) * lanes).min(active.len())];
+            gather_wave(spec, chunk)
+        }));
+    }
+    b.build()
+}
+
+/// Builds the op list of one gather wave over `chunk` (at most
+/// [`LANES`] active vertices).
+pub fn gather_wave(spec: &GatherSpec, chunk: &[u32]) -> Vec<WaveOp> {
     let g = &spec.graph;
-    let mut waves = Vec::with_capacity(active.len().div_ceil(LANES as usize));
+    let rounds_cap = chunk
+        .iter()
+        .map(|&v| g.degree(v))
+        .max()
+        .unwrap_or(0)
+        .min(spec.max_rounds) as usize;
     // Worst case per round: the targets read, every edge stream and
     // gather array, a scatter write, and a periodic compute op.
     let ops_per_round = 2 + spec.edge_streams.len() + spec.gather.len() + 1;
-    for chunk in active.chunks(LANES as usize) {
-        let rounds_cap = chunk
-            .iter()
-            .map(|&v| g.degree(v))
-            .max()
-            .unwrap_or(0)
-            .min(spec.max_rounds) as usize;
-        let mut ops: Vec<WaveOp> = Vec::with_capacity(
-            spec.vertex_reads.len() + spec.vertex_writes.len() + 2 + rounds_cap * ops_per_round,
-        );
-        // Per-vertex metadata reads.
-        for arr in &spec.vertex_reads {
-            ops.push(WaveOp::read(
-                chunk.iter().map(|&v| arr.addr(v as u64)).collect(),
-            ));
-        }
-        // CSR offsets (two loads in real code: off[v] and off[v+1];
-        // they share lines, one read models both).
+    let mut ops: Vec<WaveOp> = Vec::with_capacity(
+        spec.vertex_reads.len() + spec.vertex_writes.len() + 2 + rounds_cap * ops_per_round,
+    );
+    // Per-vertex metadata reads.
+    for arr in &spec.vertex_reads {
         ops.push(WaveOp::read(
-            chunk.iter().map(|&v| spec.offsets.addr(v as u64)).collect(),
+            chunk.iter().map(|&v| arr.addr(v as u64)).collect(),
         ));
+    }
+    // CSR offsets (two loads in real code: off[v] and off[v+1];
+    // they share lines, one read models both).
+    ops.push(WaveOp::read(
+        chunk.iter().map(|&v| spec.offsets.addr(v as u64)).collect(),
+    ));
 
-        let rounds = rounds_cap as u32;
-        for r in 0..rounds {
-            let mut tgt_addrs: Vec<VAddr> = Vec::with_capacity(chunk.len());
-            let mut edge_idx: Vec<u64> = Vec::with_capacity(chunk.len());
-            let mut neighbors: Vec<u32> = Vec::with_capacity(chunk.len());
-            for &v in chunk {
-                if r < g.degree(v) {
-                    let e = g.offsets[v as usize] as u64 + r as u64;
-                    tgt_addrs.push(spec.targets.addr(e));
-                    edge_idx.push(e);
-                    neighbors.push(g.targets[e as usize]);
-                }
-            }
-            if tgt_addrs.is_empty() {
-                break;
-            }
-            ops.push(WaveOp::read(tgt_addrs));
-            for es in &spec.edge_streams {
-                ops.push(WaveOp::read(edge_idx.iter().map(|&e| es.addr(e)).collect()));
-            }
-            for ga in &spec.gather {
-                ops.push(WaveOp::read(
-                    neighbors.iter().map(|&t| ga.addr(t as u64)).collect(),
-                ));
-            }
-            if let Some((arr, pred)) = target_write {
-                let writes: Vec<VAddr> = neighbors
-                    .iter()
-                    .filter(|&&t| pred(t))
-                    .map(|&t| arr.addr(t as u64))
-                    .collect();
-                if !writes.is_empty() {
-                    ops.push(WaveOp::write(writes));
-                }
-            }
-            if spec.compute_every > 0 && (r + 1) % spec.compute_every == 0 {
-                ops.push(WaveOp::compute(8));
+    let rounds = rounds_cap as u32;
+    for r in 0..rounds {
+        let mut tgt_addrs: Vec<VAddr> = Vec::with_capacity(chunk.len());
+        let mut edge_idx: Vec<u64> = Vec::with_capacity(chunk.len());
+        let mut neighbors: Vec<u32> = Vec::with_capacity(chunk.len());
+        for &v in chunk {
+            if r < g.degree(v) {
+                let e = g.offsets[v as usize] as u64 + r as u64;
+                tgt_addrs.push(spec.targets.addr(e));
+                edge_idx.push(e);
+                neighbors.push(g.targets[e as usize]);
             }
         }
-        for arr in &spec.vertex_writes {
-            ops.push(WaveOp::write(
-                chunk.iter().map(|&v| arr.addr(v as u64)).collect(),
+        if tgt_addrs.is_empty() {
+            break;
+        }
+        ops.push(WaveOp::read(tgt_addrs));
+        for es in &spec.edge_streams {
+            ops.push(WaveOp::read(edge_idx.iter().map(|&e| es.addr(e)).collect()));
+        }
+        for ga in &spec.gather {
+            ops.push(WaveOp::read(
+                neighbors.iter().map(|&t| ga.addr(t as u64)).collect(),
             ));
         }
-        ops.push(WaveOp::compute(4));
-        waves.push(ops);
+        if let Some(sc) = &spec.scatter {
+            let writes: Vec<VAddr> = neighbors
+                .iter()
+                .filter(|&&t| sc.hit[t as usize])
+                .map(|&t| sc.array.addr(t as u64))
+                .collect();
+            if !writes.is_empty() {
+                ops.push(WaveOp::write(writes));
+            }
+        }
+        if spec.compute_every > 0 && (r + 1) % spec.compute_every == 0 {
+            ops.push(WaveOp::compute(8));
+        }
     }
-    waves
+    for arr in &spec.vertex_writes {
+        ops.push(WaveOp::write(
+            chunk.iter().map(|&v| arr.addr(v as u64)).collect(),
+        ));
+    }
+    ops.push(WaveOp::compute(4));
+    ops
 }
 
 /// A deterministic per-element hash for data-dependent write
@@ -177,8 +200,22 @@ mod tests {
     fn one_wave_per_32_vertices() {
         let (_os, spec) = setup();
         let active: Vec<u32> = (0..100).collect();
-        let waves = gather_waves(&spec, &active, None);
-        assert_eq!(waves.len(), 4);
+        let k = gather_kernel("k".into(), Asid(0), spec, active);
+        assert_eq!(k.waves.len(), 4);
+    }
+
+    #[test]
+    fn kernel_waves_are_the_per_chunk_waves() {
+        let (_os, spec) = setup();
+        let active: Vec<u32> = (0..100).collect();
+        let k = gather_kernel("k".into(), Asid(0), spec.clone(), active.clone());
+        // Pull the waves last-first: a deferred wave's ops must not
+        // depend on when, or in which order, the waves are pulled.
+        let mut pulled: Vec<Vec<WaveOp>> =
+            k.waves.into_iter().rev().map(Iterator::collect).collect();
+        pulled.reverse();
+        let direct: Vec<Vec<WaveOp>> = active.chunks(32).map(|c| gather_wave(&spec, c)).collect();
+        assert_eq!(pulled, direct);
     }
 
     #[test]
@@ -188,9 +225,9 @@ mod tests {
         let ranks = DevArray::alloc(&mut os, pid, spec.graph.n as u64, 8);
         spec.gather.push(ranks);
         let active: Vec<u32> = (0..32).collect();
-        let waves = gather_waves(&spec, &active, None);
+        let wave = gather_wave(&spec, &active);
         // offsets read + per-round (targets + rank gather) + computes + final.
-        let reads = waves[0]
+        let reads = wave
             .iter()
             .filter(|op| matches!(op, WaveOp::Read(_)))
             .count();
@@ -202,8 +239,8 @@ mod tests {
         let (_os, mut spec) = setup();
         spec.max_rounds = 2;
         let active: Vec<u32> = (0..32).collect();
-        let waves = gather_waves(&spec, &active, None);
-        let target_reads = waves[0]
+        let wave = gather_wave(&spec, &active);
+        let target_reads = wave
             .iter()
             .filter(|op| matches!(op, WaveOp::Read(_)))
             .count();
@@ -212,23 +249,29 @@ mod tests {
     }
 
     #[test]
-    fn target_writes_follow_predicate() {
-        let (mut os, spec) = setup();
+    fn scatter_writes_follow_the_hit_flags() {
+        let (mut os, mut spec) = setup();
         let pid = gvc_mem::ProcessId(0);
         let flags = DevArray::alloc(&mut os, pid, spec.graph.n as u64, 4);
         let active: Vec<u32> = (0..64).collect();
-        let all = |_t: u32| true;
-        let none = |_t: u32| false;
-        let with_writes = gather_waves(&spec, &active, Some((&flags, &all)));
-        let without = gather_waves(&spec, &active, Some((&flags, &none)));
-        let count = |ws: &Vec<Vec<WaveOp>>| {
-            ws.iter()
-                .flatten()
+        let writes = |spec: &GatherSpec| {
+            active
+                .chunks(32)
+                .flat_map(|c| gather_wave(spec, c))
                 .filter(|o| matches!(o, WaveOp::Write(_)))
                 .count()
         };
-        assert!(count(&with_writes) > 0);
-        assert_eq!(count(&without), 0);
+        let n = spec.graph.n as usize;
+        spec.scatter = Some(Scatter {
+            array: flags,
+            hit: vec![true; n],
+        });
+        assert!(writes(&spec) > 0);
+        spec.scatter = Some(Scatter {
+            array: flags,
+            hit: vec![false; n],
+        });
+        assert_eq!(writes(&spec), 0);
     }
 
     #[test]

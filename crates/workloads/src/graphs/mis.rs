@@ -7,7 +7,7 @@
 //! translation-hungry workloads.
 
 use crate::arrays::DevArray;
-use crate::gather::{gather_waves, hash_u32, GatherSpec};
+use crate::gather::{gather_kernel, hash_u32, GatherSpec, Scatter};
 use crate::graphs::Graph;
 use crate::{Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource};
@@ -91,14 +91,12 @@ impl KernelSource for MisSource {
         spec.vertex_reads = vec![self.prio_arr, self.status_arr];
         spec.gather = vec![self.prio_arr];
         spec.vertex_writes = vec![self.status_arr];
-        let status = self.status_arr;
-        let pred = |t: u32| removed_now[t as usize];
-        let waves = gather_waves(&spec, &active, Some((&status, &pred)));
-        let mut b = Kernel::builder(format!("mis_round{}", self.round), self.asid);
-        for ops in waves {
-            b = b.wave(ops);
-        }
-        Some(b.build())
+        spec.scatter = Some(Scatter {
+            array: self.status_arr,
+            hit: removed_now,
+        });
+        let name = format!("mis_round{}", self.round);
+        Some(gather_kernel(name, self.asid, spec, active))
     }
 }
 

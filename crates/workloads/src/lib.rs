@@ -40,7 +40,7 @@ pub mod gather;
 pub mod graphs;
 pub mod rodinia;
 
-use gvc_gpu::KernelSource;
+use gvc_gpu::{KernelSource, WaveOp, WaveProgram};
 use gvc_mem::OsLite;
 use serde::{Deserialize, Serialize};
 
@@ -212,6 +212,20 @@ impl std::hash::Hash for Scale {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.factor.to_bits().hash(state);
     }
+}
+
+/// A wave program whose op list `ops` builds when the scheduler first
+/// pulls from the wave, not when its kernel is built.
+///
+/// Every workload's `next_kernel` returns its waves this way, so a
+/// kernel holds closures rather than every wave's lane vectors, and
+/// each wave's ops are built just before they issue. `ops` may read
+/// only state frozen at `next_kernel` (shared `Arc`s, `Copy` arrays,
+/// chunk bounds) and advance nothing shared across waves: the
+/// scheduler decides when each generator runs, and that order must
+/// not leak into the op stream.
+pub(crate) fn deferred_wave(ops: impl FnOnce() -> Vec<WaveOp> + Send + 'static) -> WaveProgram {
+    Box::new(std::iter::once_with(ops).flatten())
 }
 
 /// A ready-to-run workload: its private OS image (address spaces and

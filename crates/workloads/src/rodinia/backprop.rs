@@ -6,7 +6,7 @@
 //! low-translation-bandwidth group.
 
 use crate::arrays::DevArray;
-use crate::{Scale, Workload};
+use crate::{deferred_wave, Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource, WaveOp};
 use gvc_mem::{Asid, OsLite};
 
@@ -37,35 +37,30 @@ impl KernelSource for BackpropSource {
         } else {
             "backprop_fwd"
         };
+        let (input, weights, hidden) = (self.input, self.weights, self.hidden);
         let mut b = Kernel::builder(name, self.asid);
         for u0 in (0..self.n).step_by(32) {
-            let units: Vec<u64> = (u0..(u0 + 32).min(self.n)).collect();
-            let mut ops = vec![
-                // Input activations: coalesced.
-                WaveOp::read(units.iter().map(|&u| self.input.addr(u)).collect()),
-                // Weight rows: each lane reads its unit's 64 B row.
-                WaveOp::read(
-                    units
-                        .iter()
-                        .map(|&u| self.weights.addr(u * HIDDEN))
-                        .collect(),
-                ),
-                WaveOp::compute(HIDDEN as u32 * 2),
-                // Hidden-layer accumulation (hot line).
-                WaveOp::read((0..HIDDEN / 8).map(|h| self.hidden.addr(h * 8)).collect()),
-            ];
-            if backward {
-                // Weight update writes the row back.
-                ops.push(WaveOp::write(
-                    units
-                        .iter()
-                        .map(|&u| self.weights.addr(u * HIDDEN))
-                        .collect(),
-                ));
-            } else {
-                ops.push(WaveOp::write(vec![self.hidden.addr(0)]));
-            }
-            b = b.wave(ops);
+            let units = u0..(u0 + 32).min(self.n);
+            b = b.lazy_wave(deferred_wave(move || {
+                let mut ops = vec![
+                    // Input activations: coalesced.
+                    WaveOp::read(units.clone().map(|u| input.addr(u)).collect()),
+                    // Weight rows: each lane reads its unit's 64 B row.
+                    WaveOp::read(units.clone().map(|u| weights.addr(u * HIDDEN)).collect()),
+                    WaveOp::compute(HIDDEN as u32 * 2),
+                    // Hidden-layer accumulation (hot line).
+                    WaveOp::read((0..HIDDEN / 8).map(|h| hidden.addr(h * 8)).collect()),
+                ];
+                if backward {
+                    // Weight update writes the row back.
+                    ops.push(WaveOp::write(
+                        units.map(|u| weights.addr(u * HIDDEN)).collect(),
+                    ));
+                } else {
+                    ops.push(WaveOp::write(vec![hidden.addr(0)]));
+                }
+                ops
+            }));
         }
         Some(b.build())
     }

@@ -5,7 +5,7 @@
 //! spatial locality; low translation demand.
 
 use crate::arrays::DevArray;
-use crate::{Scale, Workload};
+use crate::{deferred_wave, Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource, WaveOp};
 use gvc_mem::{Asid, OsLite, VAddr};
 
@@ -20,12 +20,12 @@ struct HotspotSource {
     iter: u64,
 }
 
-impl HotspotSource {
-    fn row(&self, arr: &DevArray, r: u64, c0: u64) -> Vec<VAddr> {
-        (c0..(c0 + 32).min(self.dim))
-            .map(|c| arr.addr(r * self.dim + c))
-            .collect()
-    }
+/// Lane addresses of the 32-column block at `(r, c0)` of a `dim`-wide
+/// grid.
+fn row(arr: DevArray, dim: u64, r: u64, c0: u64) -> Vec<VAddr> {
+    (c0..(c0 + 32).min(dim))
+        .map(|c| arr.addr(r * dim + c))
+        .collect()
 }
 
 impl KernelSource for HotspotSource {
@@ -43,17 +43,20 @@ impl KernelSource for HotspotSource {
             (self.temp_b, self.temp_a)
         };
         self.iter += 1;
+        let (power, dim) = (self.power, self.dim);
         let mut b = Kernel::builder(format!("hotspot_iter{}", self.iter), self.asid);
-        for r in 1..self.dim - 1 {
-            for c0 in (0..self.dim).step_by(32) {
-                b = b.wave(vec![
-                    WaveOp::read(self.row(&src, r - 1, c0)),
-                    WaveOp::read(self.row(&src, r, c0)),
-                    WaveOp::read(self.row(&src, r + 1, c0)),
-                    WaveOp::read(self.row(&self.power, r, c0)),
-                    WaveOp::compute(24),
-                    WaveOp::write(self.row(&dst, r, c0)),
-                ]);
+        for r in 1..dim - 1 {
+            for c0 in (0..dim).step_by(32) {
+                b = b.lazy_wave(deferred_wave(move || {
+                    vec![
+                        WaveOp::read(row(src, dim, r - 1, c0)),
+                        WaveOp::read(row(src, dim, r, c0)),
+                        WaveOp::read(row(src, dim, r + 1, c0)),
+                        WaveOp::read(row(power, dim, r, c0)),
+                        WaveOp::compute(24),
+                        WaveOp::write(row(dst, dim, r, c0)),
+                    ]
+                }));
             }
         }
         Some(b.build())

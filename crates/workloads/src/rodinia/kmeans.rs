@@ -7,7 +7,7 @@
 //! workloads.
 
 use crate::arrays::DevArray;
-use crate::{Scale, Workload};
+use crate::{deferred_wave, Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource, WaveOp};
 use gvc_mem::{Asid, OsLite};
 
@@ -34,28 +34,26 @@ impl KernelSource for KmeansSource {
             return None;
         }
         self.iter += 1;
+        let (points, centroids, assignment) = (self.points, self.centroids, self.assignment);
         let mut b = Kernel::builder(format!("kmeans_iter{}", self.iter), self.asid);
         for p0 in (0..self.n).step_by(32) {
-            let pts: Vec<u64> = (p0..(p0 + 32).min(self.n)).collect();
-            let ops = vec![
-                // Each lane streams its point's 64 B feature block.
-                WaveOp::read(
-                    pts.iter()
-                        .map(|&p| self.points.addr(p * FEATURES))
-                        .collect(),
-                ),
-                // Hot centroid table (fits in the L1).
-                WaveOp::read(
-                    (0..CENTROIDS)
-                        .map(|c| self.centroids.addr(c * FEATURES))
-                        .collect(),
-                ),
-                // Distance evaluation: d x k MACs per point, lanes in
-                // parallel across points.
-                WaveOp::compute((CENTROIDS * FEATURES) as u32),
-                WaveOp::write(pts.iter().map(|&p| self.assignment.addr(p)).collect()),
-            ];
-            b = b.wave(ops);
+            let pts = p0..(p0 + 32).min(self.n);
+            b = b.lazy_wave(deferred_wave(move || {
+                vec![
+                    // Each lane streams its point's 64 B feature block.
+                    WaveOp::read(pts.clone().map(|p| points.addr(p * FEATURES)).collect()),
+                    // Hot centroid table (fits in the L1).
+                    WaveOp::read(
+                        (0..CENTROIDS)
+                            .map(|c| centroids.addr(c * FEATURES))
+                            .collect(),
+                    ),
+                    // Distance evaluation: d x k MACs per point, lanes
+                    // in parallel across points.
+                    WaveOp::compute((CENTROIDS * FEATURES) as u32),
+                    WaveOp::write(pts.map(|p| assignment.addr(p)).collect()),
+                ]
+            }));
         }
         Some(b.build())
     }

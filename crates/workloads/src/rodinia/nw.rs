@@ -9,7 +9,7 @@
 //! phase hides the translation latency.
 
 use crate::arrays::DevArray;
-use crate::{Scale, Workload};
+use crate::{deferred_wave, Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource, WaveOp};
 use gvc_mem::{Asid, OsLite, VAddr};
 
@@ -23,31 +23,29 @@ struct NwSource {
     diagonal: u64,
 }
 
-impl NwSource {
-    fn tile_ops(&self, tr: u64, tc: u64) -> Vec<WaveOp> {
-        let r0 = tr * TILE;
-        let c0 = tc * TILE;
-        let top: Vec<VAddr> = (c0..c0 + TILE)
-            .map(|c| self.score.addr(r0.saturating_sub(1) * self.n + c))
-            .collect();
-        let left: Vec<VAddr> = (r0..r0 + TILE)
-            .map(|r| self.score.addr(r * self.n + c0.saturating_sub(1)))
-            .collect();
-        let refr: Vec<VAddr> = (r0..r0 + TILE)
-            .map(|r| self.reference.addr(r * self.n + c0))
-            .collect();
-        let out: Vec<VAddr> = (r0..r0 + TILE)
-            .map(|r| self.score.addr(r * self.n + c0))
-            .collect();
-        vec![
-            WaveOp::read(top),
-            WaveOp::read(left),
-            WaveOp::read(refr),
-            WaveOp::scratch((TILE * TILE) as u32),
-            WaveOp::compute((TILE * TILE / 4) as u32),
-            WaveOp::write(out),
-        ]
-    }
+/// The ops of the wave computing tile `(tr, tc)` of the `n` × `n`
+/// score matrix.
+fn tile_ops(score: DevArray, reference: DevArray, n: u64, tr: u64, tc: u64) -> Vec<WaveOp> {
+    let r0 = tr * TILE;
+    let c0 = tc * TILE;
+    let top: Vec<VAddr> = (c0..c0 + TILE)
+        .map(|c| score.addr(r0.saturating_sub(1) * n + c))
+        .collect();
+    let left: Vec<VAddr> = (r0..r0 + TILE)
+        .map(|r| score.addr(r * n + c0.saturating_sub(1)))
+        .collect();
+    let refr: Vec<VAddr> = (r0..r0 + TILE)
+        .map(|r| reference.addr(r * n + c0))
+        .collect();
+    let out: Vec<VAddr> = (r0..r0 + TILE).map(|r| score.addr(r * n + c0)).collect();
+    vec![
+        WaveOp::read(top),
+        WaveOp::read(left),
+        WaveOp::read(refr),
+        WaveOp::scratch((TILE * TILE) as u32),
+        WaveOp::compute((TILE * TILE / 4) as u32),
+        WaveOp::write(out),
+    ]
 }
 
 impl KernelSource for NwSource {
@@ -56,7 +54,8 @@ impl KernelSource for NwSource {
     }
 
     fn next_kernel(&mut self) -> Option<Kernel> {
-        let tiles = self.n / TILE;
+        let (score, reference, n) = (self.score, self.reference, self.n);
+        let tiles = n / TILE;
         if self.diagonal >= 2 * tiles - 1 {
             return None;
         }
@@ -65,7 +64,9 @@ impl KernelSource for NwSource {
         let mut b = Kernel::builder(format!("nw_diag{d}"), self.asid);
         for tr in 0..tiles {
             if d >= tr && d - tr < tiles {
-                b = b.wave(self.tile_ops(tr, d - tr));
+                b = b.lazy_wave(deferred_wave(move || {
+                    tile_ops(score, reference, n, tr, d - tr)
+                }));
             }
         }
         Some(b.build())

@@ -7,7 +7,7 @@
 //! ratio, low performance sensitivity (§3.1).
 
 use crate::arrays::DevArray;
-use crate::{Scale, Workload};
+use crate::{deferred_wave, Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource, WaveOp};
 use gvc_mem::{Asid, OsLite, VAddr};
 
@@ -36,21 +36,21 @@ impl KernelSource for PathfinderSource {
         }
         let r0 = self.next_block * ROWS_PER_BLOCK;
         self.next_block += 1;
+        let (grid, result, cols) = (self.grid, self.result, self.cols);
         let mut b = Kernel::builder(format!("pathfinder_block{}", self.next_block), self.asid);
-        for c0 in (0..self.cols).step_by(COLS_PER_WAVE as usize) {
-            let span = (c0..(c0 + COLS_PER_WAVE).min(self.cols)).step_by(32);
-            let seg: Vec<VAddr> = span
-                .clone()
-                .map(|c| self.grid.addr(r0 * self.cols + c))
-                .collect();
-            let out: Vec<VAddr> = span.map(|c| self.result.addr(c)).collect();
-            let mut ops = vec![WaveOp::read(seg)];
-            for _ in 0..ROWS_PER_BLOCK {
-                ops.push(WaveOp::scratch(COLS_PER_WAVE as u32 / 8));
-                ops.push(WaveOp::compute(16));
-            }
-            ops.push(WaveOp::write(out));
-            b = b.wave(ops);
+        for c0 in (0..cols).step_by(COLS_PER_WAVE as usize) {
+            b = b.lazy_wave(deferred_wave(move || {
+                let span = (c0..(c0 + COLS_PER_WAVE).min(cols)).step_by(32);
+                let seg: Vec<VAddr> = span.clone().map(|c| grid.addr(r0 * cols + c)).collect();
+                let out: Vec<VAddr> = span.map(|c| result.addr(c)).collect();
+                let mut ops = vec![WaveOp::read(seg)];
+                for _ in 0..ROWS_PER_BLOCK {
+                    ops.push(WaveOp::scratch(COLS_PER_WAVE as u32 / 8));
+                    ops.push(WaveOp::compute(16));
+                }
+                ops.push(WaveOp::write(out));
+                ops
+            }));
         }
         Some(b.build())
     }
