@@ -34,8 +34,10 @@ cargo test --release -q -p gvc-integration --test paranoid -- --include-ignored
 
 echo "== release-mode event-queue regression"
 # The past-timestamp clamp must behave identically with debug_asserts
-# compiled out; run the engine suite in release to prove it.
-cargo test --release -q -p gvc-engine
+# compiled out; run the engine suite in release to prove it, with a
+# deep fuzz budget so the event queue's differential law also drives
+# its overflow-heap and clamp paths with the release build's code.
+PROPTEST_CASES=1024 cargo test --release -q -p gvc-engine
 
 echo "== seeded injection soak (release)"
 # Deterministic fault injection (DESIGN.md §9): 2 designs x 3

@@ -10,7 +10,12 @@
 //! * [`time`] — strongly typed simulation time ([`Cycle`], [`Duration`]) and
 //!   clock-frequency conversions.
 //! * [`event`] — a deterministic, tick-ordered event queue
-//!   ([`EventQueue`]) with FIFO tie-breaking.
+//!   ([`EventQueue`]) with FIFO tie-breaking: a timing wheel of 1024
+//!   per-cycle FIFO slots over `[now, now + 1024)` plus an overflow heap
+//!   for later events, which move into the wheel at the first pop that
+//!   brings them inside the window. Same-cycle events pop in schedule
+//!   order exactly, because every overflow event for a cycle was
+//!   scheduled, and enters its slot, before any direct schedule there.
 //! * [`port`] — resource-reservation models for bandwidth-limited
 //!   structures: [`ThroughputPort`] (N accesses per cycle, FIFO service
 //!   order) and [`TokenPort`] (bytes-per-cycle token bucket, used for DRAM).

@@ -1,7 +1,8 @@
-//! Property tests for the arena-backed [`EventQueue`]: the laws below
-//! pin the behaviors the index/arena rewrite could silently break —
-//! FIFO ordering among equal timestamps, past-timestamp clamping, and
-//! arena slot reuse never aliasing a live event's payload.
+//! Property tests for the timing-wheel [`EventQueue`]: the laws below
+//! pin the behaviors the wheel could silently break — FIFO ordering
+//! among equal timestamps, past-timestamp clamping, arena node reuse
+//! never aliasing a live event's payload, and events crossing from the
+//! overflow heap into the wheel in `(at, seq)` order.
 
 use gvc_engine::{Cycle, EventQueue};
 use proptest::prelude::*;
@@ -126,6 +127,112 @@ proptest! {
         let b: Vec<(u64, usize)> =
             std::iter::from_fn(|| fresh.pop()).map(|(t, e)| (t.raw(), e)).collect();
         prop_assert_eq!(a, b);
+    }
+}
+
+/// One step of the differential law below.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Schedule `count` events at `now + delta` (a same-cycle burst
+    /// when `count > 1`).
+    Ahead {
+        delta: u64,
+        count: usize,
+    },
+    /// Schedule one event `back` cycles before `now` (clamped).
+    Past {
+        back: u64,
+    },
+    Pop,
+}
+
+impl Step {
+    /// Decodes a generated `(kind, value, count)` triple, weighting the
+    /// kinds so that offsets cover the 1024-cycle window, its end, and
+    /// far past it.
+    fn decode((kind, value, count): (u8, u64, usize)) -> Step {
+        let few = 1 + count % 2;
+        match kind {
+            // Near future, inside the window.
+            0..=2 => Step::Ahead {
+                delta: value % 64,
+                count: few,
+            },
+            // Straddling the window's end.
+            3 | 4 => Step::Ahead {
+                delta: 1000 + value % 100,
+                count: few,
+            },
+            // Far past the window, into the overflow heap.
+            5 | 6 => Step::Ahead {
+                delta: value,
+                count: few,
+            },
+            // A same-cycle burst.
+            7 => Step::Ahead {
+                delta: value % 2048,
+                count: 4 + count,
+            },
+            8 => Step::Past {
+                back: 1 + value % 5000,
+            },
+            _ => Step::Pop,
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn matches_the_sorted_reference_model_step_by_step(
+        steps in prop::collection::vec((0u8..14, 0u64..1_000_000, 0usize..12), 1..400),
+    ) {
+        // Reference model: pending `(at, seq)` pairs, popped in sorted
+        // order; `seq` doubles as the payload. Checked after every step:
+        // the popped event, `peek_time`, `len` and `now`.
+        let mut q = EventQueue::new();
+        let mut model: Vec<(u64, u64)> = Vec::new();
+        let mut now = 0u64;
+        let mut seq = 0u64;
+        let mut schedule = |q: &mut EventQueue<u64>, model: &mut Vec<(u64, u64)>, now: u64, at: u64| {
+            q.schedule_at(Cycle::new(at), seq);
+            model.push((at.max(now), seq));
+            seq += 1;
+        };
+        for &s in &steps {
+            match Step::decode(s) {
+                Step::Ahead { delta, count } => {
+                    for _ in 0..count {
+                        schedule(&mut q, &mut model, now, now + delta);
+                    }
+                }
+                Step::Past { back } => {
+                    schedule(&mut q, &mut model, now, now.saturating_sub(back));
+                }
+                Step::Pop => {
+                    let expected = model
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, &k)| k)
+                        .map(|(i, _)| i)
+                        .map(|i| model.remove(i));
+                    if let Some((at, _)) = expected {
+                        now = at;
+                    }
+                    let got = q.pop().map(|(t, e)| (t.raw(), e));
+                    prop_assert_eq!(got, expected);
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.is_empty(), model.is_empty());
+            prop_assert_eq!(q.peek_time().map(Cycle::raw), model.iter().min().map(|&(t, _)| t));
+            prop_assert_eq!(q.now().raw(), now);
+        }
+        prop_assert_eq!(q.scheduled_total(), seq);
+        // Drain what is left: the tail must follow the model too.
+        model.sort_unstable();
+        let rest: Vec<(u64, u64)> =
+            std::iter::from_fn(|| q.pop()).map(|(t, e)| (t.raw(), e)).collect();
+        prop_assert_eq!(rest, model);
     }
 }
 

@@ -10,20 +10,20 @@
 //!
 //! # Deferred waves
 //!
-//! The run loop pulls a wave's first op when the wave first issues, so
-//! a program added with [`KernelBuilder::lazy_wave`] can defer building
-//! its op list until then — every workload in `gvc_workloads` does.
-//! A kernel then holds one small generator per wave rather than every
-//! wave's lane vectors, so kernel build memory no longer grows with
-//! wave count, and each op list is built just before it is read.
+//! The run loop pulls a wave's first op when the wave first issues and
+//! each later op when the previous one completes, so a program added
+//! with [`KernelBuilder::lazy_wave`] can build each op at its pull —
+//! every workload in `gvc_workloads` does. A kernel then holds one
+//! small cursor per wave rather than every wave's lane vectors, and a
+//! lane vector lives only from its op's pull to its issue.
 //!
-//! The contract: a generator reads only state frozen when
+//! The contract: one op is built per pull, only from state frozen when
 //! [`KernelSource::next_kernel`] returned (shared `Arc`s, `Copy`
-//! arrays, chunk bounds) and advances nothing shared across waves.
-//! The scheduler decides when each generator runs; if a generator read
-//! state another wave's generator changes, that schedule order would
-//! leak into the op stream. [`KernelBuilder::wave`], an eager op list,
-//! is the path for tests and hand-built kernels.
+//! arrays, chunk bounds) and the wave's own cursor; no state is shared
+//! across waves. The scheduler decides when each wave is pulled; if a
+//! wave's ops read state another wave's pulls change, that schedule
+//! order would leak into the op stream. [`KernelBuilder::wave`], an
+//! eager op list, is the path for tests and hand-built kernels.
 
 use gvc_mem::{Asid, VAddr};
 
@@ -133,7 +133,7 @@ impl KernelBuilder {
     }
 
     /// Adds a wavefront with a lazy program, pulled one op at a time
-    /// from the wave's first issue on.
+    /// from the wave's first issue on, each op just before it issues.
     pub fn lazy_wave(mut self, program: WaveProgram) -> Self {
         self.kernel.waves.push(program);
         self

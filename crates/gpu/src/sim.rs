@@ -89,7 +89,8 @@ pub struct RunReport {
     pub cycles: u64,
     /// Kernels launched.
     pub kernels: u64,
-    /// Wavefronts executed.
+    /// Wavefronts executed: counted at each wave's first issue, so a
+    /// watchdog-truncated run counts only the waves that started.
     pub waves: u64,
     /// Memory instructions issued.
     pub mem_instructions: u64,
@@ -147,6 +148,8 @@ pub struct GpuSim {
 struct WaveState {
     program: WaveProgram,
     cu: usize,
+    /// Whether the scheduler has pulled from this wave yet.
+    started: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -235,19 +238,26 @@ impl GpuSim {
             .gpu
             .wall_budget_ms
             .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
+        // Wave wakeups. Every kernel drains it, and the next one starts
+        // after the last pop, so one queue (and its node arena) serves
+        // the whole run.
+        let mut queue: EventQueue<WaveReady> = EventQueue::new();
 
         while let Some(kernel) = source.next_kernel() {
             kernels += 1;
             let start = now + Duration::new(self.gpu.kernel_launch_gap);
             let asid = kernel.asid;
-            self.waves_total += kernel.waves.len() as u64;
 
             // Distribute waves round-robin over CUs.
             let mut waves: Vec<Option<WaveState>> = Vec::with_capacity(kernel.waves.len());
             let mut pending: Vec<VecDeque<usize>> = vec![VecDeque::new(); n_cus];
             for (i, program) in kernel.waves.into_iter().enumerate() {
                 let cu = i % n_cus;
-                waves.push(Some(WaveState { program, cu }));
+                waves.push(Some(WaveState {
+                    program,
+                    cu,
+                    started: false,
+                }));
                 pending[cu].push_back(i);
             }
             let mut issue_ports: Vec<ThroughputPort> =
@@ -255,7 +265,6 @@ impl GpuSim {
             let mut outstanding: Vec<Outstanding> =
                 (0..n_cus).map(|_| Outstanding::default()).collect();
 
-            let mut queue: EventQueue<WaveReady> = EventQueue::new();
             for cu_pending in pending.iter_mut() {
                 for _ in 0..self.gpu.max_waves_per_cu {
                     match cu_pending.pop_front() {
@@ -299,6 +308,10 @@ impl GpuSim {
                 }
 
                 let state = waves[id].as_mut().expect("scheduled wave exists");
+                if !state.started {
+                    state.started = true;
+                    self.waves_total += 1;
+                }
                 let cu = state.cu;
                 match state.program.next() {
                     None => {
@@ -716,6 +729,33 @@ mod tests {
         assert!(
             cut.mem_instructions > 0 && cut.mem_instructions < full.mem_instructions,
             "truncated run should carry partial stats"
+        );
+    }
+
+    #[test]
+    fn truncated_run_counts_only_the_waves_that_issued() {
+        // 512 waves outnumber the 16 CUs x 16 resident slots, so half
+        // the run leaves waves that never issued.
+        let (mut os, pid, r) = setup(64);
+        let run = |cfg: GpuConfig, os: &mut OsLite| {
+            GpuSim::new(cfg, SystemConfig::baseline_512()).run(
+                &mut streaming_kernel(&r, pid.asid(), 512, 4).into_source(),
+                os,
+            )
+        };
+        let full = run(GpuConfig::default(), &mut os);
+        assert_eq!(full.waves, 512);
+        let cfg = GpuConfig {
+            max_cycles: Some(full.cycles / 2),
+            ..GpuConfig::default()
+        };
+        let cut = run(cfg, &mut os);
+        assert_eq!(cut.truncated, Some(Truncation::MaxCycles));
+        assert!(
+            cut.waves > 0 && cut.waves < full.waves,
+            "cut at half its cycles, the run counted {} of {} waves",
+            cut.waves,
+            full.waves
         );
     }
 

@@ -11,7 +11,7 @@
 
 use super::Matrix;
 use crate::arrays::DevArray;
-use crate::{deferred_wave, Scale, Workload};
+use crate::{streamed_wave, Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource, WaveOp};
 use gvc_mem::{Asid, OsLite};
 
@@ -27,26 +27,31 @@ struct FwSource {
     blocked: bool,
 }
 
-/// The ops of the wave updating tile `(tile_r, tile_c)` for pivot `k`.
-fn tile_ops(dist: Matrix, blocked: bool, k: u64, tile_r: u64, tile_c: u64) -> Vec<WaveOp> {
-    let mut ops = vec![
+/// Op `i` of the wave updating tile `(tile_r, tile_c)` for pivot `k`,
+/// or `None` past its last op.
+fn tile_op(
+    dist: Matrix,
+    blocked: bool,
+    k: u64,
+    tile_r: u64,
+    tile_c: u64,
+    i: u32,
+) -> Option<WaveOp> {
+    Some(match (i, blocked) {
         // Own tile: strided row gather (32 rows).
-        dist.col_read(tile_r, tile_c),
+        (0, _) => dist.col_read(tile_r, tile_c),
         // Pivot column block dist[i][k] (strided, reused per row).
-        dist.col_read(tile_r, k),
+        (1, _) => dist.col_read(tile_r, k),
         // Pivot row block dist[k][j] (coalesced).
-        dist.row_read(k % dist.n, tile_c),
-    ];
-    if blocked {
+        (2, _) => dist.row_read(k % dist.n, tile_c),
         // Stage in scratchpad and iterate BLOCK pivots there.
-        ops.push(WaveOp::scratch(32 * BLOCK as u32 * 4));
-        ops.push(WaveOp::compute(16 * BLOCK as u32));
-    } else {
-        ops.push(WaveOp::compute(16));
-    }
-    // Write back (strided, like the read).
-    ops.push(dist.col_write(tile_r, tile_c));
-    ops
+        (3, true) => WaveOp::scratch(32 * BLOCK as u32 * 4),
+        (4, true) => WaveOp::compute(16 * BLOCK as u32),
+        (3, false) => WaveOp::compute(16),
+        // Write back (strided, like the read).
+        (5, true) | (4, false) => dist.col_write(tile_r, tile_c),
+        _ => return None,
+    })
 }
 
 impl KernelSource for FwSource {
@@ -65,8 +70,8 @@ impl KernelSource for FwSource {
         let mut b = Kernel::builder(format!("{}_pivot{k}", self.name), self.asid);
         for tile_r in (0..dist.n).step_by(32) {
             for tile_c in (0..dist.n).step_by(32) {
-                b = b.lazy_wave(deferred_wave(move || {
-                    tile_ops(dist, blocked, k, tile_r, tile_c)
+                b = b.lazy_wave(streamed_wave(move |i| {
+                    tile_op(dist, blocked, k, tile_r, tile_c, i)
                 }));
             }
         }

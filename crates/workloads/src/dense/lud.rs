@@ -9,7 +9,7 @@
 
 use super::Matrix;
 use crate::arrays::DevArray;
-use crate::{deferred_wave, Scale, Workload};
+use crate::{streamed_wave, Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource, WaveOp};
 use gvc_mem::{Asid, OsLite};
 
@@ -40,35 +40,32 @@ impl KernelSource for LudSource {
         let mut b = Kernel::builder(format!("lud_step{}", self.next_step), self.asid);
         // Perimeter: pivot row (coalesced) and pivot column (strided).
         for col0 in (k..n).step_by(32) {
-            b = b.lazy_wave(deferred_wave(move || {
-                vec![
-                    m.row_read(k, col0),
-                    WaveOp::compute(8),
-                    m.row_write(k, col0),
-                ]
+            b = b.lazy_wave(streamed_wave(move |i| match i {
+                0 => Some(m.row_read(k, col0)),
+                1 => Some(WaveOp::compute(8)),
+                2 => Some(m.row_write(k, col0)),
+                _ => None,
             }));
         }
         for row0 in (k..n).step_by(32) {
-            b = b.lazy_wave(deferred_wave(move || {
-                vec![
-                    m.col_read(row0, k),
-                    WaveOp::compute(8),
-                    m.col_write(row0, k),
-                ]
+            b = b.lazy_wave(streamed_wave(move |i| match i {
+                0 => Some(m.col_read(row0, k)),
+                1 => Some(WaveOp::compute(8)),
+                2 => Some(m.col_write(row0, k)),
+                _ => None,
             }));
         }
         // Trailing submatrix tiles: own block (strided) + pivot row
         // (coalesced) + pivot column (strided).
         for tile_r in ((k + 32)..n).step_by(32) {
             for tile_c in ((k + 32)..n).step_by(32) {
-                b = b.lazy_wave(deferred_wave(move || {
-                    vec![
-                        m.col_read(tile_r, tile_c),
-                        m.row_read(k, tile_c),
-                        m.col_read(tile_r, k),
-                        WaveOp::compute(16),
-                        m.col_write(tile_r, tile_c),
-                    ]
+                b = b.lazy_wave(streamed_wave(move |i| match i {
+                    0 => Some(m.col_read(tile_r, tile_c)),
+                    1 => Some(m.row_read(k, tile_c)),
+                    2 => Some(m.col_read(tile_r, k)),
+                    3 => Some(WaveOp::compute(16)),
+                    4 => Some(m.col_write(tile_r, tile_c)),
+                    _ => None,
                 }));
             }
         }

@@ -10,8 +10,8 @@
 //! paper's Observation 2.
 
 use crate::arrays::DevArray;
-use crate::deferred_wave;
 use crate::graphs::Graph;
+use crate::streamed_wave;
 use gvc_gpu::kernel::{Kernel, WaveOp};
 use gvc_mem::{Asid, VAddr};
 use std::sync::Arc;
@@ -76,8 +76,8 @@ impl GatherSpec {
 }
 
 /// One gather kernel over the `active` vertices, 32 per wave. Each
-/// wave's ops are built by [`gather_wave`] at the wave's first issue,
-/// from the spec and active list frozen here.
+/// wave streams the ops [`gather_wave`] lists, one per pull, from the
+/// spec and active list frozen here.
 pub fn gather_kernel(name: String, asid: Asid, spec: GatherSpec, active: Vec<u32>) -> Kernel {
     let lanes = LANES as usize;
     let waves = active.len().div_ceil(lanes);
@@ -85,89 +85,198 @@ pub fn gather_kernel(name: String, asid: Asid, spec: GatherSpec, active: Vec<u32
     let mut b = Kernel::builder(name, asid);
     for w in 0..waves {
         let frozen = Arc::clone(&frozen);
-        b = b.lazy_wave(deferred_wave(move || {
+        let mut cursor = WalkCursor::default();
+        b = b.lazy_wave(streamed_wave(move |_| {
             let (spec, active) = &*frozen;
             let chunk = &active[w * lanes..((w + 1) * lanes).min(active.len())];
-            gather_wave(spec, chunk)
+            gather_op(spec, chunk, &mut cursor)
         }));
     }
     b.build()
 }
 
 /// Builds the op list of one gather wave over `chunk` (at most
-/// [`LANES`] active vertices).
+/// [`LANES`] active vertices): the ops its streamed wave yields.
 pub fn gather_wave(spec: &GatherSpec, chunk: &[u32]) -> Vec<WaveOp> {
-    let g = &spec.graph;
-    let rounds_cap = chunk
-        .iter()
-        .map(|&v| g.degree(v))
-        .max()
-        .unwrap_or(0)
-        .min(spec.max_rounds) as usize;
-    // Worst case per round: the targets read, every edge stream and
-    // gather array, a scatter write, and a periodic compute op.
-    let ops_per_round = 2 + spec.edge_streams.len() + spec.gather.len() + 1;
-    let mut ops: Vec<WaveOp> = Vec::with_capacity(
-        spec.vertex_reads.len() + spec.vertex_writes.len() + 2 + rounds_cap * ops_per_round,
-    );
-    // Per-vertex metadata reads.
-    for arr in &spec.vertex_reads {
-        ops.push(WaveOp::read(
-            chunk.iter().map(|&v| arr.addr(v as u64)).collect(),
-        ));
-    }
-    // CSR offsets (two loads in real code: off[v] and off[v+1];
-    // they share lines, one read models both).
-    ops.push(WaveOp::read(
-        chunk.iter().map(|&v| spec.offsets.addr(v as u64)).collect(),
-    ));
+    let mut cursor = WalkCursor::default();
+    std::iter::from_fn(|| gather_op(spec, chunk, &mut cursor)).collect()
+}
 
-    let rounds = rounds_cap as u32;
-    for r in 0..rounds {
-        let mut tgt_addrs: Vec<VAddr> = Vec::with_capacity(chunk.len());
-        let mut edge_idx: Vec<u64> = Vec::with_capacity(chunk.len());
-        let mut neighbors: Vec<u32> = Vec::with_capacity(chunk.len());
-        for &v in chunk {
+/// The next op of the gather wave over `chunk` at `cursor`, or `None`
+/// after its last. The wave's ops are, in order:
+///
+/// * a read of each `vertex_reads` array, then of the CSR offsets;
+/// * per edge round (at most `max_rounds`), over the walking lanes: the
+///   targets read, each edge-stream read, each gather read, the scatter
+///   write (skipped when no lane hits), and every `compute_every`-th
+///   round an ALU op;
+/// * a write of each `vertex_writes` array, then `compute(4)`.
+fn gather_op(spec: &GatherSpec, chunk: &[u32], cursor: &mut WalkCursor) -> Option<WaveOp> {
+    let g = &spec.graph;
+    let (n_streams, n_gathers) = (spec.edge_streams.len(), spec.gather.len());
+    let per_vertex =
+        |arr: &DevArray| -> Vec<_> { chunk.iter().map(|&v| arr.addr(v as u64)).collect() };
+    loop {
+        let (part, step) = cursor.advance();
+        let round = &cursor.round;
+        match part {
+            Part::Head => {
+                if let Some(arr) = spec.vertex_reads.get(step) {
+                    return Some(WaveOp::read(per_vertex(arr)));
+                }
+                cursor.start_round(g, chunk.iter().copied(), 0, spec.max_rounds);
+                // CSR offsets (two loads in real code: off[v] and
+                // off[v+1]; they share lines, one read models both).
+                return Some(WaveOp::read(per_vertex(&spec.offsets)));
+            }
+            Part::Round => match step {
+                0 => return Some(WaveOp::read(round.edge_addrs(spec.targets))),
+                s if s <= n_streams => {
+                    return Some(WaveOp::read(round.edge_addrs(spec.edge_streams[s - 1])))
+                }
+                s if s <= n_streams + n_gathers => {
+                    let ga = spec.gather[s - 1 - n_streams];
+                    return Some(WaveOp::read(
+                        round.neighbors(g).map(|t| ga.addr(t as u64)).collect(),
+                    ));
+                }
+                s if s == n_streams + n_gathers + 1 => {
+                    if let Some(sc) = &spec.scatter {
+                        let writes: Vec<_> = round
+                            .neighbors(g)
+                            .filter(|&t| sc.hit[t as usize])
+                            .map(|t| sc.array.addr(t as u64))
+                            .collect();
+                        if !writes.is_empty() {
+                            return Some(WaveOp::write(writes));
+                        }
+                    }
+                }
+                s if s == n_streams + n_gathers + 2 => {
+                    let every = spec.compute_every;
+                    if every > 0 && (round.r + 1).is_multiple_of(every) {
+                        return Some(WaveOp::compute(8));
+                    }
+                }
+                _ => {
+                    let next = round.r + 1;
+                    cursor.start_round(g, chunk.iter().copied(), next, spec.max_rounds);
+                }
+            },
+            Part::Tail => {
+                return match spec.vertex_writes.get(step) {
+                    Some(arr) => Some(WaveOp::write(per_vertex(arr))),
+                    None if step == spec.vertex_writes.len() => Some(WaveOp::compute(4)),
+                    None => None,
+                };
+            }
+        }
+    }
+}
+
+/// Which part of a neighbor-walking wave the next pull builds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum Part {
+    /// Ops before the first edge round.
+    #[default]
+    Head,
+    /// The edge round in [`WalkCursor::round`].
+    Round,
+    /// Ops after the last edge round.
+    Tail,
+}
+
+/// One edge round of a neighbor walk: in round `r`, each of the wave's
+/// vertices with degree above `r` reads its `r`-th edge. The lanes are
+/// held inline, so a started wave owns no heap block of its own.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct EdgeRound {
+    /// The round number.
+    pub(crate) r: u32,
+    /// The edge each walking lane reads; the first `lanes` are live.
+    edges: [u32; LANES as usize],
+    lanes: usize,
+}
+
+impl EdgeRound {
+    /// Round `r` over `vertices` (at most [`LANES`]).
+    fn new(g: &Graph, vertices: impl Iterator<Item = u32>, r: u32) -> Self {
+        let mut round = EdgeRound {
+            r,
+            ..EdgeRound::default()
+        };
+        for v in vertices {
             if r < g.degree(v) {
-                let e = g.offsets[v as usize] as u64 + r as u64;
-                tgt_addrs.push(spec.targets.addr(e));
-                edge_idx.push(e);
-                neighbors.push(g.targets[e as usize]);
+                round.edges[round.lanes] = g.offsets[v as usize] + r;
+                round.lanes += 1;
             }
         }
-        if tgt_addrs.is_empty() {
-            break;
-        }
-        ops.push(WaveOp::read(tgt_addrs));
-        for es in &spec.edge_streams {
-            ops.push(WaveOp::read(edge_idx.iter().map(|&e| es.addr(e)).collect()));
-        }
-        for ga in &spec.gather {
-            ops.push(WaveOp::read(
-                neighbors.iter().map(|&t| ga.addr(t as u64)).collect(),
-            ));
-        }
-        if let Some(sc) = &spec.scatter {
-            let writes: Vec<VAddr> = neighbors
-                .iter()
-                .filter(|&&t| sc.hit[t as usize])
-                .map(|&t| sc.array.addr(t as u64))
-                .collect();
-            if !writes.is_empty() {
-                ops.push(WaveOp::write(writes));
-            }
-        }
-        if spec.compute_every > 0 && (r + 1) % spec.compute_every == 0 {
-            ops.push(WaveOp::compute(8));
-        }
+        round
     }
-    for arr in &spec.vertex_writes {
-        ops.push(WaveOp::write(
-            chunk.iter().map(|&v| arr.addr(v as u64)).collect(),
-        ));
+
+    /// The address in `arr`, indexed by edge, of each walking lane.
+    pub(crate) fn edge_addrs(&self, arr: DevArray) -> Vec<VAddr> {
+        self.edges[..self.lanes]
+            .iter()
+            .map(|&e| arr.addr(e as u64))
+            .collect()
     }
-    ops.push(WaveOp::compute(4));
-    ops
+
+    /// The neighbor each walking lane reaches.
+    pub(crate) fn neighbors<'a>(&'a self, g: &'a Graph) -> impl Iterator<Item = u32> + 'a {
+        self.edges[..self.lanes]
+            .iter()
+            .map(|&e| g.targets[e as usize])
+    }
+}
+
+/// The position and round scratch of a wave that walks its vertices'
+/// edge lists round by round (gather and BFS sweep waves).
+#[derive(Debug, Default)]
+pub(crate) struct WalkCursor {
+    part: Part,
+    /// Index of the next op within `part` (within the round, for
+    /// [`Part::Round`]).
+    step: usize,
+    /// The current edge round's lanes.
+    pub(crate) round: EdgeRound,
+}
+
+impl WalkCursor {
+    /// The part and step of the op to build next; moves past it.
+    pub(crate) fn advance(&mut self) -> (Part, usize) {
+        let step = self.step;
+        self.step += 1;
+        (self.part, step)
+    }
+
+    /// Moves to edge round `r` over `vertices`, or to the tail when `r`
+    /// reaches `cap` or none of them has degree above `r`.
+    pub(crate) fn start_round(
+        &mut self,
+        g: &Graph,
+        vertices: impl Iterator<Item = u32>,
+        r: u32,
+        cap: u32,
+    ) {
+        self.round = if r < cap {
+            EdgeRound::new(g, vertices, r)
+        } else {
+            EdgeRound::default()
+        };
+        self.part = if self.round.lanes == 0 {
+            Part::Tail
+        } else {
+            Part::Round
+        };
+        self.step = 0;
+    }
+
+    /// Moves to the tail, skipping the edge rounds.
+    pub(crate) fn skip_to_tail(&mut self) {
+        self.part = Part::Tail;
+        self.step = 0;
+    }
 }
 
 /// A deterministic per-element hash for data-dependent write

@@ -8,12 +8,11 @@
 //! and therefore each level's burst shape — are data-exact.
 
 use crate::arrays::DevArray;
-use crate::deferred_wave;
-use crate::gather::LANES;
+use crate::gather::{Part, WalkCursor, LANES};
 use crate::graphs::Graph;
-use crate::{Scale, Workload};
+use crate::{streamed_wave, Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource, WaveOp};
-use gvc_mem::{Asid, OsLite, VAddr};
+use gvc_mem::{Asid, OsLite};
 use std::sync::Arc;
 
 /// Everything a level's waves read, fixed at build: the traversal is
@@ -29,74 +28,76 @@ struct Bfs {
 }
 
 impl Bfs {
-    /// The ops of the wave sweeping vertices `chunk_base..+LANES` at
-    /// BFS level `depth`.
-    fn sweep_wave(&self, depth: u32, chunk_base: u32) -> Vec<WaveOp> {
+    /// The next op of the wave sweeping vertices `chunk_base..+LANES`
+    /// at BFS level `depth`, or `None` after its last. The wave's ops
+    /// are, in order: the mask read over the whole chunk; then, if any
+    /// vertex of the chunk is in the frontier, the offsets read over
+    /// the frontier vertices and, per edge round (at most
+    /// `max_rounds`), the targets read, the distance gather, the
+    /// discovery writes (skipped when none is new) and every fourth
+    /// round an ALU op; last `compute(2)`.
+    fn sweep_op(&self, depth: u32, chunk_base: u32, cursor: &mut WalkCursor) -> Option<WaveOp> {
         let g = &self.graph;
         let chunk = chunk_base..(chunk_base + LANES).min(g.n);
         // Frontier membership at this depth is exactly
-        // `level_of[v] == depth` — no set needed. At most LANES
-        // vertices per chunk, so the actives fit on the stack.
-        let mut active = [0u32; LANES as usize];
-        let mut n_active = 0usize;
-        for v in chunk.clone() {
-            if self.level_of[v as usize] == depth {
-                active[n_active] = v;
-                n_active += 1;
-            }
-        }
-        let active = &active[..n_active];
-        let rounds = active
-            .iter()
-            .map(|&v| g.degree(v))
-            .max()
-            .unwrap_or(0)
-            .min(self.max_rounds);
-        // Worst case per round: two reads, a write, and every fourth
-        // round a compute op.
-        let mut ops = Vec::with_capacity(3 + rounds as usize * 3 + rounds as usize / 4);
-        ops.push(WaveOp::read(
-            chunk.map(|v| self.mask.addr(v as u64)).collect(),
-        ));
-        if !active.is_empty() {
-            ops.push(WaveOp::read(
-                active
-                    .iter()
-                    .map(|&v| self.offsets.addr(v as u64))
-                    .collect(),
-            ));
-            for r in 0..rounds {
-                let mut tgt_addrs: Vec<VAddr> = Vec::with_capacity(active.len());
-                let mut dist_reads: Vec<VAddr> = Vec::with_capacity(active.len());
-                let mut discover_writes: Vec<VAddr> = Vec::new();
-                for &v in active {
-                    if r < g.degree(v) {
-                        let e = g.offsets[v as usize] as u64 + r as u64;
-                        let t = g.targets[e as usize];
-                        tgt_addrs.push(self.targets.addr(e));
-                        dist_reads.push(self.dist.addr(t as u64));
-                        // Newly discovered exactly when its level is
-                        // depth + 1 (host-computed ground truth).
-                        if self.level_of[t as usize] == depth + 1 {
-                            discover_writes.push(self.dist.addr(t as u64));
-                        }
+        // `level_of[v] == depth` — no set needed.
+        let frontier = chunk
+            .clone()
+            .filter(|&v| self.level_of[v as usize] == depth);
+        loop {
+            let at = cursor.advance();
+            let round = &cursor.round;
+            match at {
+                (Part::Head, 0) => {
+                    if frontier.clone().next().is_none() {
+                        cursor.skip_to_tail();
+                    }
+                    return Some(WaveOp::read(
+                        chunk.map(|v| self.mask.addr(v as u64)).collect(),
+                    ));
+                }
+                (Part::Head, _) => {
+                    let offsets = frontier
+                        .clone()
+                        .map(|v| self.offsets.addr(v as u64))
+                        .collect();
+                    cursor.start_round(g, frontier, 0, self.max_rounds);
+                    return Some(WaveOp::read(offsets));
+                }
+                (Part::Round, 0) => return Some(WaveOp::read(round.edge_addrs(self.targets))),
+                (Part::Round, 1) => {
+                    return Some(WaveOp::read(
+                        round
+                            .neighbors(g)
+                            .map(|t| self.dist.addr(t as u64))
+                            .collect(),
+                    ))
+                }
+                (Part::Round, 2) => {
+                    // Newly discovered exactly when its level is
+                    // depth + 1 (host-computed ground truth).
+                    let writes: Vec<_> = round
+                        .neighbors(g)
+                        .filter(|&t| self.level_of[t as usize] == depth + 1)
+                        .map(|t| self.dist.addr(t as u64))
+                        .collect();
+                    if !writes.is_empty() {
+                        return Some(WaveOp::write(writes));
                     }
                 }
-                if tgt_addrs.is_empty() {
-                    break;
+                (Part::Round, 3) => {
+                    if (round.r + 1).is_multiple_of(4) {
+                        return Some(WaveOp::compute(6));
+                    }
                 }
-                ops.push(WaveOp::read(tgt_addrs));
-                ops.push(WaveOp::read(dist_reads));
-                if !discover_writes.is_empty() {
-                    ops.push(WaveOp::write(discover_writes));
+                (Part::Round, _) => {
+                    let next = round.r + 1;
+                    cursor.start_round(g, frontier.clone(), next, self.max_rounds);
                 }
-                if (r + 1) % 4 == 0 {
-                    ops.push(WaveOp::compute(6));
-                }
+                (Part::Tail, 0) => return Some(WaveOp::compute(2)),
+                (Part::Tail, _) => return None,
             }
         }
-        ops.push(WaveOp::compute(2));
-        ops
     }
 }
 
@@ -121,7 +122,10 @@ impl KernelSource for BfsSource {
         // Rodinia-style: sweep all vertices; frontier members expand.
         for chunk_base in (0..self.bfs.graph.n).step_by(LANES as usize) {
             let bfs = Arc::clone(&self.bfs);
-            b = b.lazy_wave(deferred_wave(move || bfs.sweep_wave(depth, chunk_base)));
+            let mut cursor = WalkCursor::default();
+            b = b.lazy_wave(streamed_wave(move |_| {
+                bfs.sweep_op(depth, chunk_base, &mut cursor)
+            }));
         }
         self.next_level += 1;
         Some(b.build())

@@ -214,18 +214,26 @@ impl std::hash::Hash for Scale {
     }
 }
 
-/// A wave program whose op list `ops` builds when the scheduler first
-/// pulls from the wave, not when its kernel is built.
+/// A wave program that builds one op per pull: pull `i` (from 0)
+/// returns `op(i)`, and the program ends at the first `None`.
 ///
-/// Every workload's `next_kernel` returns its waves this way, so a
-/// kernel holds closures rather than every wave's lane vectors, and
-/// each wave's ops are built just before they issue. `ops` may read
-/// only state frozen at `next_kernel` (shared `Arc`s, `Copy` arrays,
-/// chunk bounds) and advance nothing shared across waves: the
-/// scheduler decides when each generator runs, and that order must
-/// not leak into the op stream.
-pub(crate) fn deferred_wave(ops: impl FnOnce() -> Vec<WaveOp> + Send + 'static) -> WaveProgram {
-    Box::new(std::iter::once_with(ops).flatten())
+/// Every workload's `next_kernel` returns its waves this way. `op`
+/// captures the wave's cursor: its share of the state frozen at
+/// `next_kernel` (shared `Arc`s, `Copy` arrays, chunk bounds) plus
+/// per-wave scratch, such as the lanes of a gather round. Only the op
+/// just pulled owns a lane `Vec`, so each is allocated and freed around
+/// one issue. `op` advances nothing shared across waves: the scheduler
+/// decides when each wave is pulled, and that order must not leak into
+/// the op stream.
+pub(crate) fn streamed_wave(
+    mut op: impl FnMut(u32) -> Option<WaveOp> + Send + 'static,
+) -> WaveProgram {
+    let mut pull = 0;
+    Box::new(std::iter::from_fn(move || {
+        let next = op(pull);
+        pull += 1;
+        next
+    }))
 }
 
 /// A ready-to-run workload: its private OS image (address spaces and

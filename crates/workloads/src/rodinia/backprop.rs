@@ -6,7 +6,7 @@
 //! low-translation-bandwidth group.
 
 use crate::arrays::DevArray;
-use crate::{deferred_wave, Scale, Workload};
+use crate::{streamed_wave, Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource, WaveOp};
 use gvc_mem::{Asid, OsLite};
 
@@ -40,26 +40,23 @@ impl KernelSource for BackpropSource {
         let (input, weights, hidden) = (self.input, self.weights, self.hidden);
         let mut b = Kernel::builder(name, self.asid);
         for u0 in (0..self.n).step_by(32) {
-            let units = u0..(u0 + 32).min(self.n);
-            b = b.lazy_wave(deferred_wave(move || {
-                let mut ops = vec![
+            let u1 = (u0 + 32).min(self.n);
+            b = b.lazy_wave(streamed_wave(move |i| {
+                Some(match i {
                     // Input activations: coalesced.
-                    WaveOp::read(units.clone().map(|u| input.addr(u)).collect()),
+                    0 => WaveOp::read((u0..u1).map(|u| input.addr(u)).collect()),
                     // Weight rows: each lane reads its unit's 64 B row.
-                    WaveOp::read(units.clone().map(|u| weights.addr(u * HIDDEN)).collect()),
-                    WaveOp::compute(HIDDEN as u32 * 2),
+                    1 => WaveOp::read((u0..u1).map(|u| weights.addr(u * HIDDEN)).collect()),
+                    2 => WaveOp::compute(HIDDEN as u32 * 2),
                     // Hidden-layer accumulation (hot line).
-                    WaveOp::read((0..HIDDEN / 8).map(|h| hidden.addr(h * 8)).collect()),
-                ];
-                if backward {
+                    3 => WaveOp::read((0..HIDDEN / 8).map(|h| hidden.addr(h * 8)).collect()),
                     // Weight update writes the row back.
-                    ops.push(WaveOp::write(
-                        units.map(|u| weights.addr(u * HIDDEN)).collect(),
-                    ));
-                } else {
-                    ops.push(WaveOp::write(vec![hidden.addr(0)]));
-                }
-                ops
+                    4 if backward => {
+                        WaveOp::write((u0..u1).map(|u| weights.addr(u * HIDDEN)).collect())
+                    }
+                    4 => WaveOp::write(vec![hidden.addr(0)]),
+                    _ => return None,
+                })
             }));
         }
         Some(b.build())

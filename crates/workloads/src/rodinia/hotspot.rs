@@ -5,7 +5,7 @@
 //! spatial locality; low translation demand.
 
 use crate::arrays::DevArray;
-use crate::{deferred_wave, Scale, Workload};
+use crate::{streamed_wave, Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource, WaveOp};
 use gvc_mem::{Asid, OsLite, VAddr};
 
@@ -47,15 +47,15 @@ impl KernelSource for HotspotSource {
         let mut b = Kernel::builder(format!("hotspot_iter{}", self.iter), self.asid);
         for r in 1..dim - 1 {
             for c0 in (0..dim).step_by(32) {
-                b = b.lazy_wave(deferred_wave(move || {
-                    vec![
-                        WaveOp::read(row(src, dim, r - 1, c0)),
-                        WaveOp::read(row(src, dim, r, c0)),
-                        WaveOp::read(row(src, dim, r + 1, c0)),
-                        WaveOp::read(row(power, dim, r, c0)),
-                        WaveOp::compute(24),
-                        WaveOp::write(row(dst, dim, r, c0)),
-                    ]
+                b = b.lazy_wave(streamed_wave(move |i| {
+                    Some(match i {
+                        // Rows r - 1, r and r + 1 of the source grid.
+                        0..=2 => WaveOp::read(row(src, dim, r + i as u64 - 1, c0)),
+                        3 => WaveOp::read(row(power, dim, r, c0)),
+                        4 => WaveOp::compute(24),
+                        5 => WaveOp::write(row(dst, dim, r, c0)),
+                        _ => return None,
+                    })
                 }));
             }
         }

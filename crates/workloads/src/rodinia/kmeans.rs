@@ -7,7 +7,7 @@
 //! workloads.
 
 use crate::arrays::DevArray;
-use crate::{deferred_wave, Scale, Workload};
+use crate::{streamed_wave, Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource, WaveOp};
 use gvc_mem::{Asid, OsLite};
 
@@ -37,22 +37,23 @@ impl KernelSource for KmeansSource {
         let (points, centroids, assignment) = (self.points, self.centroids, self.assignment);
         let mut b = Kernel::builder(format!("kmeans_iter{}", self.iter), self.asid);
         for p0 in (0..self.n).step_by(32) {
-            let pts = p0..(p0 + 32).min(self.n);
-            b = b.lazy_wave(deferred_wave(move || {
-                vec![
+            let p1 = (p0 + 32).min(self.n);
+            b = b.lazy_wave(streamed_wave(move |i| {
+                Some(match i {
                     // Each lane streams its point's 64 B feature block.
-                    WaveOp::read(pts.clone().map(|p| points.addr(p * FEATURES)).collect()),
+                    0 => WaveOp::read((p0..p1).map(|p| points.addr(p * FEATURES)).collect()),
                     // Hot centroid table (fits in the L1).
-                    WaveOp::read(
+                    1 => WaveOp::read(
                         (0..CENTROIDS)
                             .map(|c| centroids.addr(c * FEATURES))
                             .collect(),
                     ),
                     // Distance evaluation: d x k MACs per point, lanes
                     // in parallel across points.
-                    WaveOp::compute((CENTROIDS * FEATURES) as u32),
-                    WaveOp::write(pts.map(|p| assignment.addr(p)).collect()),
-                ]
+                    2 => WaveOp::compute((CENTROIDS * FEATURES) as u32),
+                    3 => WaveOp::write((p0..p1).map(|p| assignment.addr(p)).collect()),
+                    _ => return None,
+                })
             }));
         }
         Some(b.build())

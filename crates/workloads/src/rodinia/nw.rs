@@ -9,9 +9,9 @@
 //! phase hides the translation latency.
 
 use crate::arrays::DevArray;
-use crate::{deferred_wave, Scale, Workload};
+use crate::{streamed_wave, Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource, WaveOp};
-use gvc_mem::{Asid, OsLite, VAddr};
+use gvc_mem::{Asid, OsLite};
 
 const TILE: u64 = 16;
 
@@ -23,29 +23,38 @@ struct NwSource {
     diagonal: u64,
 }
 
-/// The ops of the wave computing tile `(tr, tc)` of the `n` × `n`
-/// score matrix.
-fn tile_ops(score: DevArray, reference: DevArray, n: u64, tr: u64, tc: u64) -> Vec<WaveOp> {
+/// Op `i` of the wave computing tile `(tr, tc)` of the `n` × `n`
+/// score matrix, or `None` past its last op. Lane `l` handles row
+/// `r0 + l` or column `c0 + l` of the tile.
+fn tile_op(
+    score: DevArray,
+    reference: DevArray,
+    n: u64,
+    tr: u64,
+    tc: u64,
+    i: u32,
+) -> Option<WaveOp> {
     let r0 = tr * TILE;
     let c0 = tc * TILE;
-    let top: Vec<VAddr> = (c0..c0 + TILE)
-        .map(|c| score.addr(r0.saturating_sub(1) * n + c))
-        .collect();
-    let left: Vec<VAddr> = (r0..r0 + TILE)
-        .map(|r| score.addr(r * n + c0.saturating_sub(1)))
-        .collect();
-    let refr: Vec<VAddr> = (r0..r0 + TILE)
-        .map(|r| reference.addr(r * n + c0))
-        .collect();
-    let out: Vec<VAddr> = (r0..r0 + TILE).map(|r| score.addr(r * n + c0)).collect();
-    vec![
-        WaveOp::read(top),
-        WaveOp::read(left),
-        WaveOp::read(refr),
-        WaveOp::scratch((TILE * TILE) as u32),
-        WaveOp::compute((TILE * TILE / 4) as u32),
-        WaveOp::write(out),
-    ]
+    let lanes = 0..TILE;
+    Some(match i {
+        // Top boundary row, then left boundary column.
+        0 => WaveOp::read(
+            lanes
+                .map(|l| score.addr(r0.saturating_sub(1) * n + c0 + l))
+                .collect(),
+        ),
+        1 => WaveOp::read(
+            lanes
+                .map(|l| score.addr((r0 + l) * n + c0.saturating_sub(1)))
+                .collect(),
+        ),
+        2 => WaveOp::read(lanes.map(|l| reference.addr((r0 + l) * n + c0)).collect()),
+        3 => WaveOp::scratch((TILE * TILE) as u32),
+        4 => WaveOp::compute((TILE * TILE / 4) as u32),
+        5 => WaveOp::write(lanes.map(|l| score.addr((r0 + l) * n + c0)).collect()),
+        _ => return None,
+    })
 }
 
 impl KernelSource for NwSource {
@@ -64,8 +73,8 @@ impl KernelSource for NwSource {
         let mut b = Kernel::builder(format!("nw_diag{d}"), self.asid);
         for tr in 0..tiles {
             if d >= tr && d - tr < tiles {
-                b = b.lazy_wave(deferred_wave(move || {
-                    tile_ops(score, reference, n, tr, d - tr)
+                b = b.lazy_wave(streamed_wave(move |i| {
+                    tile_op(score, reference, n, tr, d - tr, i)
                 }));
             }
         }

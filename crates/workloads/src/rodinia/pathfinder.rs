@@ -7,9 +7,9 @@
 //! ratio, low performance sensitivity (§3.1).
 
 use crate::arrays::DevArray;
-use crate::{deferred_wave, Scale, Workload};
+use crate::{streamed_wave, Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource, WaveOp};
-use gvc_mem::{Asid, OsLite, VAddr};
+use gvc_mem::{Asid, OsLite};
 
 /// Rows processed per scratchpad-staged block.
 const ROWS_PER_BLOCK: u64 = 8;
@@ -39,17 +39,21 @@ impl KernelSource for PathfinderSource {
         let (grid, result, cols) = (self.grid, self.result, self.cols);
         let mut b = Kernel::builder(format!("pathfinder_block{}", self.next_block), self.asid);
         for c0 in (0..cols).step_by(COLS_PER_WAVE as usize) {
-            b = b.lazy_wave(deferred_wave(move || {
-                let span = (c0..(c0 + COLS_PER_WAVE).min(cols)).step_by(32);
-                let seg: Vec<VAddr> = span.clone().map(|c| grid.addr(r0 * cols + c)).collect();
-                let out: Vec<VAddr> = span.map(|c| result.addr(c)).collect();
-                let mut ops = vec![WaveOp::read(seg)];
-                for _ in 0..ROWS_PER_BLOCK {
-                    ops.push(WaveOp::scratch(COLS_PER_WAVE as u32 / 8));
-                    ops.push(WaveOp::compute(16));
-                }
-                ops.push(WaveOp::write(out));
-                ops
+            let c1 = (c0 + COLS_PER_WAVE).min(cols);
+            // Every 32nd column of the wave's span.
+            let lanes = move || (c0..c1).step_by(32);
+            b = b.lazy_wave(streamed_wave(move |i| {
+                let staged = 2 * ROWS_PER_BLOCK as u32;
+                Some(match i {
+                    0 => WaveOp::read(lanes().map(|c| grid.addr(r0 * cols + c)).collect()),
+                    // Scratchpad row-steps: a scratch op, then ALU work.
+                    i if i <= staged && i % 2 == 1 => WaveOp::scratch(COLS_PER_WAVE as u32 / 8),
+                    i if i <= staged => WaveOp::compute(16),
+                    i if i == staged + 1 => {
+                        WaveOp::write(lanes().map(|c| result.addr(c)).collect())
+                    }
+                    _ => return None,
+                })
             }));
         }
         Some(b.build())
