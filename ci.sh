@@ -39,6 +39,15 @@ echo "== release-mode event-queue regression"
 # its overflow-heap and clamp paths with the release build's code.
 PROPTEST_CASES=1024 cargo test --release -q -p gvc-engine
 
+echo "== release-mode tag-store and miss-map laws"
+# The set-associative cache, the TLB and the MSHR file each run a
+# differential law against an in-test reference model of their
+# replacement, statistics and snapshot semantics. Run them with the
+# release build's code and a deep fuzz budget, so the branch-free
+# victim search and the packed keys are checked as they are shipped.
+PROPTEST_CASES=1024 cargo test --release -q -p gvc-cache --test tag_store_props --test mshr_props
+PROPTEST_CASES=1024 cargo test --release -q -p gvc-tlb --test tlb_props
+
 echo "== seeded injection soak (release)"
 # Deterministic fault injection (DESIGN.md §9): 2 designs x 3
 # workloads under paranoid checking with inject seed 42.

@@ -1,5 +1,6 @@
 //! Set-associative tag-store cache with LRU replacement and MSHRs.
 
+use gvc_engine::lru::SetStore;
 use gvc_engine::time::Cycle;
 use gvc_engine::{Counter, FxHashMap};
 use gvc_mem::{Asid, Perms, LINES_PER_PAGE, LINE_BYTES};
@@ -31,6 +32,20 @@ impl LineKey {
     /// The line's index within its page (0..=31).
     pub fn line_in_page(&self) -> u32 {
         (self.line % LINES_PER_PAGE) as u32
+    }
+
+    /// The key as one `u64` hash-map key ([`Asid::map_key`]): the line
+    /// index in the low 48 bits, the ASID above.
+    #[inline]
+    pub fn map_key(&self) -> u64 {
+        self.asid.map_key(self.line)
+    }
+
+    /// Inverse of [`LineKey::map_key`].
+    #[inline]
+    pub fn from_map_key(key: u64) -> LineKey {
+        let (asid, line) = Asid::from_map_key(key);
+        LineKey { asid, line }
     }
 }
 
@@ -150,27 +165,36 @@ impl CacheStats {
     }
 }
 
-/// Per-line metadata kept apart from the tag (see the struct-of-arrays
-/// note on [`SetAssocCache`]).
-#[derive(Debug, Clone, Copy)]
-struct LineMeta {
-    perms: Perms,
-    dirty: bool,
-    inserted_at: Cycle,
-    last_access: Cycle,
-}
+/// Words of a way's record in the tag store: fill cycle, last-access
+/// cycle, and flags (permission bits in the low byte, the dirty bit
+/// above).
+const RECORD_WORDS: usize = 3;
+const FILLED: usize = 0;
+const TOUCHED: usize = 1;
+const FLAGS: usize = 2;
+/// The dirty bit of a flags word.
+const DIRTY: u64 = 1 << 8;
 
 /// A set-associative cache tag store with true LRU.
 ///
-/// Storage is struct-of-arrays: tags, LRU clocks, and line metadata
-/// live in three flat arrays of `sets * ways` entries, with set `s`
-/// occupying the fixed stride `s*ways .. s*ways + occupancy[s]`. The
-/// way scan — the operation every single memory access performs, often
-/// several times — touches only the 16-byte tag array, and the layout
-/// is allocation-free after construction. Within-set slot order
-/// replicates the previous `Vec` semantics exactly (append on fill,
-/// swap-remove on evict/invalidate), so enumeration order — and with
-/// it every downstream figure byte — is unchanged.
+/// Storage is a [`SetStore`]: one flat word array in which each set's
+/// ways sit side by side in one block — the live count, the packed
+/// tags ([`SetAssocCache::pack`]), the LRU stamps, then one 3-word
+/// record per way (fill cycle, last-access cycle, flags). A lookup
+/// reads the count and the tags from the block's first host cache
+/// lines, a miss's victim search the stamps right after them, and a
+/// hit or an eviction one way's record, so the whole miss path stays
+/// within one block. The [`LineKey`] is unpacked from the tag, so no
+/// second key array is kept. The layout is allocation-free after
+/// construction.
+///
+/// The victim is the way with the smallest stamp
+/// ([`gvc_engine::lru::victim`]). Stamps come from a per-cache use
+/// clock that every lookup and insert advances, so they are unique and
+/// the victim is the first minimum in scan order. Within-set slot order
+/// is append on fill and swap-remove on evict and invalidate, so
+/// enumeration order — and with it every downstream figure byte — is
+/// that of a per-set `Vec`.
 ///
 /// ```
 /// use gvc_cache::{CacheConfig, LineKey, SetAssocCache};
@@ -186,34 +210,14 @@ struct LineMeta {
 #[derive(Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    n_sets: usize,
     /// `n_sets - 1` when the set count is a power of two (the real
     /// geometries), letting [`Self::set_index`] mask instead of
     /// divide; `None` falls back to the modulo.
     set_mask: Option<u64>,
-    /// Tags, strided by way: slot `(s, w)` lives at `s*ways + w`.
-    keys: Vec<LineKey>,
-    /// The same tags packed to one `u64` each ([`SetAssocCache::pack`]),
-    /// kept in lockstep with `keys`. The way scan compares these: a
-    /// padded 16-byte struct compare defeats vectorization, a dense
-    /// `u64` compare does not.
-    packed: Vec<u64>,
-    /// LRU clocks, same stride.
-    last_use: Vec<u64>,
-    /// Line metadata, same stride.
-    meta: Vec<LineMeta>,
-    /// Live slots per set (`0..=ways`).
-    occupancy: Vec<u32>,
+    store: SetStore<RECORD_WORDS>,
     use_clock: u64,
     stats: CacheStats,
 }
-
-const EMPTY_META: LineMeta = LineMeta {
-    perms: Perms::NONE,
-    dirty: false,
-    inserted_at: Cycle::ZERO,
-    last_access: Cycle::ZERO,
-};
 
 impl SetAssocCache {
     /// Builds a cache.
@@ -230,16 +234,10 @@ impl SetAssocCache {
             "ways must divide line count"
         );
         let n_sets = config.sets();
-        let total = n_sets * config.ways;
         SetAssocCache {
             config,
-            n_sets,
             set_mask: n_sets.is_power_of_two().then(|| n_sets as u64 - 1),
-            keys: vec![LineKey::new(Asid::default(), 0); total],
-            packed: vec![0; total],
-            last_use: vec![0; total],
-            meta: vec![EMPTY_META; total],
-            occupancy: vec![0; n_sets],
+            store: SetStore::new(n_sets, config.ways),
             use_clock: 0,
             stats: CacheStats::default(),
         }
@@ -257,7 +255,7 @@ impl SetAssocCache {
 
     /// Resident line count.
     pub fn len(&self) -> usize {
-        self.occupancy.iter().map(|&n| n as usize).sum()
+        self.store.total_len()
     }
 
     /// Whether the cache is empty.
@@ -276,51 +274,53 @@ impl SetAssocCache {
         // division on the access fast path.
         match self.set_mask {
             Some(mask) => (folded & mask) as usize,
-            None => (folded % self.n_sets as u64) as usize,
+            None => (folded % self.store.sets() as u64) as usize,
         }
     }
 
-    /// Packs a key into one `u64` for the way scan. Line indices are
-    /// at most 48-bit addresses / 128 B, so the ASID fits below them.
+    /// Packs a key into one `u64` tag. Line indices are at most 48-bit
+    /// addresses / 128 B, so the ASID fits below them.
     #[inline]
     fn pack(key: LineKey) -> u64 {
         debug_assert!(key.line >> 48 == 0, "line index exceeds 48 bits");
         (key.line << 16) | key.asid.0 as u64
     }
 
-    /// The occupied slot range of set `set` in the flat arrays.
+    /// Inverse of [`Self::pack`].
     #[inline]
-    fn span(&self, set: usize) -> (usize, usize) {
-        let base = set * self.config.ways;
-        (base, base + self.occupancy[set] as usize)
+    fn unpack(tag: u64) -> LineKey {
+        LineKey::new(Asid(tag as u16), tag >> 16)
     }
 
-    /// Reassembles the public [`CacheLine`] view of slot `i`.
+    /// A line's tag-store record.
     #[inline]
-    fn line_at(&self, i: usize) -> CacheLine {
-        let m = self.meta[i];
+    fn record(line: &CacheLine) -> [u64; RECORD_WORDS] {
+        let dirty = if line.dirty { DIRTY } else { 0 };
+        [
+            line.inserted_at.raw(),
+            line.last_access.raw(),
+            line.perms.bits() as u64 | dirty,
+        ]
+    }
+
+    /// Reassembles the public [`CacheLine`] view of a way.
+    #[inline]
+    fn line_at(&self, set: usize, way: usize) -> CacheLine {
+        let r = self.store.record(set, way);
         CacheLine {
-            key: self.keys[i],
-            perms: m.perms,
-            dirty: m.dirty,
-            inserted_at: m.inserted_at,
-            last_access: m.last_access,
+            key: Self::unpack(self.store.tag(set, way)),
+            perms: Perms::from_bits(r[FLAGS] as u8),
+            dirty: r[FLAGS] & DIRTY != 0,
+            inserted_at: Cycle::new(r[FILLED]),
+            last_access: Cycle::new(r[TOUCHED]),
         }
     }
 
-    /// Removes slot `i` of set `set` with swap-remove ordering (the
-    /// set's last slot moves into the hole), returning the removed line.
+    /// Removes a way (swap-remove), returning its line.
     #[inline]
-    fn swap_remove_slot(&mut self, set: usize, i: usize) -> CacheLine {
-        let line = self.line_at(i);
-        let (base, end) = self.span(set);
-        debug_assert!((base..end).contains(&i));
-        let last = end - 1;
-        self.keys[i] = self.keys[last];
-        self.packed[i] = self.packed[last];
-        self.last_use[i] = self.last_use[last];
-        self.meta[i] = self.meta[last];
-        self.occupancy[set] -= 1;
+    fn remove(&mut self, set: usize, way: usize) -> CacheLine {
+        let line = self.line_at(set, way);
+        self.store.swap_remove(set, way);
         line
     }
 
@@ -328,41 +328,32 @@ impl SetAssocCache {
     pub fn lookup(&mut self, key: LineKey, now: Cycle) -> Option<CacheLine> {
         self.stats.lookups.inc();
         self.use_clock += 1;
-        let clock = self.use_clock;
         let set = self.set_index(key);
-        let p = Self::pack(key);
-        let (base, end) = self.span(set);
-        for i in base..end {
-            if self.packed[i] == p {
-                self.last_use[i] = clock;
-                self.meta[i].last_access = now;
-                self.stats.hits.inc();
-                return Some(self.line_at(i));
-            }
-        }
-        self.stats.misses.inc();
-        None
+        let Some(way) = self.store.find(set, Self::pack(key)) else {
+            self.stats.misses.inc();
+            return None;
+        };
+        self.store.touch(set, way, self.use_clock);
+        self.store.record_mut(set, way)[TOUCHED] = now.raw();
+        self.stats.hits.inc();
+        Some(self.line_at(set, way))
     }
 
     /// Peeks without touching recency or statistics.
     pub fn peek(&self, key: LineKey) -> Option<CacheLine> {
         let set = self.set_index(key);
-        let p = Self::pack(key);
-        let (base, end) = self.span(set);
-        (base..end)
-            .find(|&i| self.packed[i] == p)
-            .map(|i| self.line_at(i))
+        self.store
+            .find(set, Self::pack(key))
+            .map(|way| self.line_at(set, way))
     }
 
     /// Marks a resident line dirty (write hit under write-back);
     /// returns whether the line was present.
     pub fn mark_dirty(&mut self, key: LineKey) -> bool {
         let set = self.set_index(key);
-        let p = Self::pack(key);
-        let (base, end) = self.span(set);
-        match (base..end).find(|&i| self.packed[i] == p) {
-            Some(i) => {
-                self.meta[i].dirty = true;
+        match self.store.find(set, Self::pack(key)) {
+            Some(way) => {
+                self.store.record_mut(set, way)[FLAGS] |= DIRTY;
                 true
             }
             None => false,
@@ -379,75 +370,57 @@ impl SetAssocCache {
         now: Cycle,
     ) -> Option<CacheLine> {
         self.use_clock += 1;
-        let clock = self.use_clock;
         let set = self.set_index(key);
-        let p = Self::pack(key);
-        let (base, mut end) = self.span(set);
-        for i in base..end {
-            if self.packed[i] == p {
-                let m = &mut self.meta[i];
-                m.perms = perms;
-                m.dirty |= dirty;
-                m.last_access = now;
-                self.last_use[i] = clock;
-                return None;
-            }
+        let tag = Self::pack(key);
+        if let Some(way) = self.store.find(set, tag) {
+            self.store.touch(set, way, self.use_clock);
+            let r = self.store.record_mut(set, way);
+            r[TOUCHED] = now.raw();
+            r[FLAGS] = perms.bits() as u64 | (r[FLAGS] & DIRTY) | if dirty { DIRTY } else { 0 };
+            return None;
         }
         let mut victim = None;
-        if end - base >= self.config.ways {
-            // First slot with the minimum use clock, in scan order —
-            // the same victim `min_by_key` picked on the old layout.
-            let mut idx = base;
-            for i in base + 1..end {
-                if self.last_use[i] < self.last_use[idx] {
-                    idx = i;
-                }
-            }
-            let v = self.swap_remove_slot(set, idx);
+        if self.store.len(set) >= self.config.ways {
+            let v = self.remove(set, self.store.victim(set));
             self.stats.evictions.inc();
             if v.dirty {
                 self.stats.writebacks.inc();
             }
             victim = Some(v);
-            end -= 1;
         }
         self.stats.fills.inc();
-        self.keys[end] = key;
-        self.packed[end] = p;
-        self.last_use[end] = clock;
-        self.meta[end] = LineMeta {
+        let line = CacheLine {
+            key,
             perms,
             dirty,
             inserted_at: now,
             last_access: now,
         };
-        self.occupancy[set] += 1;
+        self.store
+            .push(set, tag, self.use_clock, Self::record(&line));
         victim
     }
 
     /// Invalidates one line, returning it if it was present.
     pub fn invalidate(&mut self, key: LineKey) -> Option<CacheLine> {
         let set = self.set_index(key);
-        let p = Self::pack(key);
-        let (base, end) = self.span(set);
-        let i = (base..end).find(|&i| self.packed[i] == p)?;
+        let way = self.store.find(set, Self::pack(key))?;
         self.stats.invalidations.inc();
-        Some(self.swap_remove_slot(set, i))
+        Some(self.remove(set, way))
     }
 
     /// Invalidates every resident line of a virtual/physical page,
     /// returning the removed lines.
     pub fn invalidate_page(&mut self, asid: Asid, page: u64) -> Vec<CacheLine> {
         let mut removed = Vec::new();
-        for set in 0..self.n_sets {
-            let base = set * self.config.ways;
-            let mut i = base;
-            while i < base + self.occupancy[set] as usize {
-                let k = self.keys[i];
+        for set in 0..self.store.sets() {
+            let mut way = 0;
+            while way < self.store.len(set) {
+                let k = Self::unpack(self.store.tag(set, way));
                 if k.asid == asid && k.page() == page {
-                    removed.push(self.swap_remove_slot(set, i));
+                    removed.push(self.remove(set, way));
                 } else {
-                    i += 1;
+                    way += 1;
                 }
             }
         }
@@ -458,35 +431,28 @@ impl SetAssocCache {
     /// Invalidates everything, returning the removed lines (an
     /// all-entry flush).
     pub fn flush(&mut self) -> Vec<CacheLine> {
-        let mut removed = Vec::new();
-        for set in 0..self.n_sets {
-            let (base, end) = self.span(set);
-            removed.extend((base..end).map(|i| self.line_at(i)));
-            self.occupancy[set] = 0;
-        }
+        let removed: Vec<CacheLine> = self.iter().collect();
+        self.store.clear();
         self.stats.invalidations.add(removed.len() as u64);
         removed
     }
 
     /// Iterates over resident lines (diagnostics and invariants).
     pub fn iter(&self) -> impl Iterator<Item = CacheLine> + '_ {
-        (0..self.n_sets).flat_map(move |set| {
-            let (base, end) = self.span(set);
-            (base..end).map(move |i| self.line_at(i))
-        })
+        (0..self.store.sets())
+            .flat_map(move |set| (0..self.store.len(set)).map(move |way| self.line_at(set, way)))
     }
 
     /// Captures the cache's full behavioral state for checkpointing:
     /// resident slots in within-set scan order (which encodes the
     /// replacement bookkeeping exactly), the LRU clock, and statistics.
     pub fn snapshot(&self) -> CacheSnapshot {
-        let sets = (0..self.n_sets)
+        let sets = (0..self.store.sets())
             .map(|set| {
-                let (base, end) = self.span(set);
-                (base..end)
-                    .map(|i| CacheSlotSnapshot {
-                        line: self.line_at(i),
-                        last_use: self.last_use[i],
+                (0..self.store.len(set))
+                    .map(|way| CacheSlotSnapshot {
+                        line: self.line_at(set, way),
+                        last_use: self.store.stamp(set, way),
                     })
                     .collect()
             })
@@ -510,29 +476,21 @@ impl SetAssocCache {
         assert_eq!(self.config, snap.config, "cache snapshot config mismatch");
         assert_eq!(
             snap.sets.len(),
-            self.n_sets,
+            self.store.sets(),
             "cache snapshot set count mismatch"
         );
-        self.occupancy.fill(0);
+        self.store.clear();
         for (set, slots) in snap.sets.iter().enumerate() {
             assert!(
                 slots.len() <= self.config.ways,
                 "cache snapshot set {set} overflows {} ways",
                 self.config.ways
             );
-            let base = set * self.config.ways;
-            for (w, slot) in slots.iter().enumerate() {
-                self.keys[base + w] = slot.line.key;
-                self.packed[base + w] = Self::pack(slot.line.key);
-                self.last_use[base + w] = slot.last_use;
-                self.meta[base + w] = LineMeta {
-                    perms: slot.line.perms,
-                    dirty: slot.line.dirty,
-                    inserted_at: slot.line.inserted_at,
-                    last_access: slot.line.last_access,
-                };
+            for slot in slots {
+                let tag = Self::pack(slot.line.key);
+                self.store
+                    .push(set, tag, slot.last_use, Self::record(&slot.line));
             }
-            self.occupancy[set] = slots.len() as u32;
         }
         self.use_clock = snap.use_clock;
         self.stats = snap.stats;
@@ -579,6 +537,13 @@ pub enum MshrOutcome {
 /// Miss-status holding registers: merges concurrent misses to the same
 /// line so only one fill is outstanding per line.
 ///
+/// The in-flight fills live in one `FxHashMap<u64, Cycle>` keyed by
+/// [`LineKey::map_key`], so a probe hashes one word with one multiply
+/// and compares one word. The line index fills the key's low bits,
+/// which pick the bucket (see [`Asid::map_key`] for why the ASID must
+/// not). Snapshots still carry `(LineKey, Cycle)` pairs in
+/// `(asid, line)` order, which is the packed keys' numeric order.
+///
 /// ```
 /// use gvc_cache::{LineKey, MshrFile};
 /// use gvc_engine::Cycle;
@@ -596,7 +561,10 @@ pub enum MshrOutcome {
 /// ```
 #[derive(Debug, Default)]
 pub struct MshrFile {
-    inflight: FxHashMap<LineKey, Cycle>,
+    /// Fill completion per in-flight line, keyed by
+    /// [`LineKey::map_key`]: one `u64` with the line index low and the
+    /// ASID above bit 48, hashed with a single multiply.
+    inflight: FxHashMap<u64, Cycle>,
     /// Latest registered fill completion: once `now` passes this
     /// watermark no entry can still be in flight, so the hot
     /// hit-path probes ([`MshrFile::pending`], [`MshrFile::check`])
@@ -618,12 +586,13 @@ impl MshrFile {
     /// entries (fills that completed in the past) are pruned lazily.
     pub fn check(&mut self, key: LineKey, now: Cycle) -> MshrOutcome {
         if now < self.latest_done {
-            if let Some(&done) = self.inflight.get(&key) {
+            let k = key.map_key();
+            if let Some(&done) = self.inflight.get(&k) {
                 if done > now {
                     self.merges.inc();
                     return MshrOutcome::Merged { fill_done: done };
                 }
-                self.inflight.remove(&key);
+                self.inflight.remove(&k);
             }
         }
         self.primaries.inc();
@@ -638,13 +607,16 @@ impl MshrFile {
         if now >= self.latest_done {
             return None;
         }
-        self.inflight.get(&key).copied().filter(|&done| done > now)
+        self.inflight
+            .get(&key.map_key())
+            .copied()
+            .filter(|&done| done > now)
     }
 
     /// Registers a primary miss's fill completion time.
     pub fn register(&mut self, key: LineKey, fill_done: Cycle) {
         self.latest_done = self.latest_done.max(fill_done);
-        self.inflight.insert(key, fill_done);
+        self.inflight.insert(key.map_key(), fill_done);
         // Opportunistic pruning keeps the map small.
         if self.inflight.len() > 4096 {
             self.inflight.retain(|_, &mut done| done > fill_done);
@@ -667,11 +639,15 @@ impl MshrFile {
     /// [`MshrFile::register`] triggers on map population, so dropping
     /// stale entries here would change when it fires after restore.
     pub fn snapshot(&self) -> MshrSnapshot {
-        let mut inflight: Vec<(LineKey, Cycle)> =
-            self.inflight.iter().map(|(k, c)| (*k, *c)).collect();
-        inflight.sort_by_key(|(k, _)| (k.asid.0, k.line));
+        let mut inflight: Vec<(u64, Cycle)> = self.inflight.iter().map(|(&k, &c)| (k, c)).collect();
+        // The ASID sits above the line index, so key order is
+        // `(asid, line)` order.
+        inflight.sort_unstable_by_key(|&(k, _)| k);
         MshrSnapshot {
-            inflight,
+            inflight: inflight
+                .into_iter()
+                .map(|(k, c)| (LineKey::from_map_key(k), c))
+                .collect(),
             latest_done: self.latest_done,
             merges: self.merges,
             primaries: self.primaries,
@@ -682,7 +658,7 @@ impl MshrFile {
     pub fn restore(&mut self, snap: &MshrSnapshot) {
         self.inflight.clear();
         for &(k, c) in &snap.inflight {
-            self.inflight.insert(k, c);
+            self.inflight.insert(k.map_key(), c);
         }
         self.latest_done = snap.latest_done;
         self.merges = snap.merges;
@@ -935,6 +911,28 @@ mod tests {
         assert_eq!(k.page(), 1);
         assert_eq!(k.line_in_page(), 1);
         assert_eq!(LineKey::new(Asid(0), 31).page(), 0);
+    }
+
+    #[test]
+    fn mshr_map_key_keeps_line_bits_low() {
+        let k = LineKey::new(Asid(0xBEEF), (1 << 47) | 0x1234);
+        assert_eq!(k.map_key() & ((1 << 48) - 1), k.line, "line in bits 0..48");
+        assert_eq!(k.map_key() >> 48, 0xBEEF, "ASID above bit 48");
+        assert_eq!(LineKey::from_map_key(k.map_key()), k);
+        // Why the order matters: FxHash multiplies a u64 key once and
+        // the map's bucket comes from the product's low bits, which only
+        // the key's low bits reach. Lines of one ASID must spread over
+        // the buckets; with the ASID low they would all share one.
+        use std::hash::BuildHasher;
+        let bucket = |key: u64| gvc_engine::FxBuildHasher::default().hash_one(key) & 1023;
+        let spread = |pack: &dyn Fn(u64) -> u64| {
+            (0..1024u64)
+                .map(|line| bucket(pack(line)))
+                .collect::<std::collections::HashSet<_>>()
+                .len()
+        };
+        assert!(spread(&|line| LineKey::new(Asid(5), line).map_key()) > 512);
+        assert_eq!(spread(&|line| (line << 16) | 5), 1);
     }
 
     #[test]

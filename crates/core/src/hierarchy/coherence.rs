@@ -20,6 +20,7 @@ use gvc_cache::LineKey;
 use gvc_engine::time::{Cycle, Duration};
 use gvc_mem::{Shootdown, Vpn, LINES_PER_PAGE};
 use gvc_soc::{Probe, ProbeKind};
+use gvc_tlb::tlb::TlbKey;
 
 /// The GPU's answer to a coherence probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +77,7 @@ impl MemorySystem {
                 // a stale entry would merge a recycled tenant's first
                 // miss into the previous tenant's fill timing.
                 for inflight in &mut self.tlb_inflight {
-                    inflight.retain(|key, _| key.asid != *asid);
+                    inflight.retain(|&key, _| TlbKey::from_map_key(key).asid != *asid);
                 }
                 match self.cfg.design {
                     MmuDesign::Baseline => {}
@@ -107,10 +108,11 @@ impl MemorySystem {
     fn shootdown_one(&mut self, asid: gvc_mem::Asid, vpn: Vpn, now: Cycle) -> Cycle {
         self.iommu.shootdown_page(asid, vpn);
         for tlb in &mut self.tlbs {
-            tlb.invalidate(gvc_tlb::tlb::TlbKey::new(asid, vpn));
+            tlb.invalidate(TlbKey::new(asid, vpn));
         }
+        let key = TlbKey::new(asid, vpn).map_key();
         self.tlb_inflight.iter_mut().for_each(|m| {
-            m.remove(&gvc_tlb::tlb::TlbKey::new(asid, vpn));
+            m.remove(&key);
         });
         match self.cfg.design {
             MmuDesign::Baseline => now + Duration::new(50),

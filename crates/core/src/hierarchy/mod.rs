@@ -155,8 +155,9 @@ pub struct MemorySystem {
     pub(crate) iommu: Iommu,
     /// Per-CU TLBs (baseline and L1-only designs).
     pub(crate) tlbs: Vec<Tlb>,
-    /// Per-CU in-flight translation fills (page-grain MSHRs).
-    pub(crate) tlb_inflight: Vec<FxHashMap<TlbKey, Cycle>>,
+    /// Per-CU in-flight translation fills (page-grain MSHRs), keyed by
+    /// [`TlbKey::map_key`] (VPN low, ASID above bit 48).
+    pub(crate) tlb_inflight: Vec<FxHashMap<u64, Cycle>>,
     /// Per-CU watermark: the latest fill completion ever registered in
     /// `tlb_inflight[cu]`. Once the clock passes it, no entry can
     /// still be in flight and the hash probe is skipped.
@@ -456,7 +457,7 @@ impl MemorySystem {
         // (the default) it issues its own IOMMU request and waits for
         // its own response.
         if lookup_done < self.tlb_inflight_until[cu] {
-            if let Some(&d) = self.tlb_inflight[cu].get(&key) {
+            if let Some(&d) = self.tlb_inflight[cu].get(&key.map_key()) {
                 if d > lookup_done {
                     if let Some(e) = self.tlbs[cu].peek(key) {
                         self.tlbs[cu].record_merged_miss();
@@ -498,7 +499,7 @@ impl MemorySystem {
             }
         }
         self.tlb_inflight_until[cu] = self.tlb_inflight_until[cu].max(ready);
-        self.tlb_inflight[cu].insert(key, ready);
+        self.tlb_inflight[cu].insert(key.map_key(), ready);
         if self.tlb_inflight[cu].len() > 1024 {
             let horizon = ready;
             self.tlb_inflight[cu].retain(|_, &mut d| d > horizon);
@@ -662,9 +663,12 @@ impl MemorySystem {
                 .tlb_inflight
                 .iter()
                 .map(|m| {
-                    let mut v: Vec<(TlbKey, Cycle)> = m.iter().map(|(&k, &d)| (k, d)).collect();
-                    v.sort_by_key(|&(k, _)| (k.asid.0, k.vpn.raw()));
-                    v
+                    // Packed-key order is `(asid, vpn)` order.
+                    let mut v: Vec<(u64, Cycle)> = m.iter().map(|(&k, &d)| (k, d)).collect();
+                    v.sort_unstable_by_key(|&(k, _)| k);
+                    v.into_iter()
+                        .map(|(k, d)| (TlbKey::from_map_key(k), d))
+                        .collect()
                 })
                 .collect(),
             tlb_inflight_until: self.tlb_inflight_until.clone(),
@@ -705,7 +709,7 @@ impl MemorySystem {
         for (m, s) in self.tlb_inflight.iter_mut().zip(&snap.tlb_inflight) {
             m.clear();
             for &(k, d) in s {
-                m.insert(k, d);
+                m.insert(k.map_key(), d);
             }
         }
         self.tlb_inflight_until.clone_from(&snap.tlb_inflight_until);

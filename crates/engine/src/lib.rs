@@ -23,6 +23,9 @@
 //!   the fixed-interval [`IntervalSampler`] used for the paper's
 //!   "accesses per cycle per microsecond sample" measurements.
 //! * [`rng`] — a seeded, deterministic random-number wrapper.
+//! * [`lru`] — set-associative tag storage with LRU stamps
+//!   ([`lru::SetStore`]) and its victim search, shared by every bounded
+//!   cache and TLB.
 //! * [`fxhash`] — a deterministic multiply-xor hasher ([`FxHashMap`])
 //!   for simulator-internal maps keyed by trusted values.
 //! * [`trace`] — cycle-attributed structured tracing ([`TraceSink`],
@@ -56,6 +59,7 @@
 
 pub mod event;
 pub mod fxhash;
+pub mod lru;
 pub mod port;
 pub mod rng;
 pub mod stats;
@@ -67,7 +71,7 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use port::{ThroughputPort, TokenPort};
 pub use rng::{RngSnapshot, SimRng};
 pub use stats::{
-    Cdf, Counter, Histogram, IntervalSampler, IntervalSummary, RateAccum, RunningStats,
+    Cdf, CountCdf, Counter, Histogram, IntervalSampler, IntervalSummary, RateAccum, RunningStats,
 };
 pub use time::{Cycle, Duration, Frequency};
 pub use trace::{

@@ -7,8 +7,10 @@
 //!   interval* (Figures 3 and 8) — [`IntervalSampler`];
 //! * ratio breakdowns (Figure 2) — plain [`Counter`]s combined by the
 //!   caller;
-//! * lifetime CDFs (Figure 12) — [`Cdf`].
+//! * lifetime CDFs (Figure 12) — [`Cdf`] — and exact integer
+//!   distributions kept as value counts — [`CountCdf`].
 
+use crate::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -777,6 +779,93 @@ impl Cdf {
     /// Evaluates the CDF at each of `xs`, returning fractions.
     pub fn curve(&mut self, xs: &[f64]) -> Vec<f64> {
         xs.iter().map(|&x| self.fraction_at_or_below(x)).collect()
+    }
+}
+
+/// An exact empirical distribution of integer samples, kept as a
+/// value → count map: memory grows with the number of distinct values,
+/// not with the number of samples.
+///
+/// [`CountCdf::quantile`] is the same nearest-rank rule as
+/// [`Cdf::quantile`], so for integer samples (below 2^53, where `f64`
+/// is exact) the two agree bit for bit. Use it for long integer streams
+/// such as per-access stall cycles, where a [`Cdf`] would hold and sort
+/// one `f64` per access.
+///
+/// ```
+/// use gvc_engine::{Cdf, CountCdf};
+///
+/// let mut exact = CountCdf::new();
+/// let mut cdf = Cdf::new();
+/// for v in [40, 10, 30, 10, 20] {
+///     exact.push(v);
+///     cdf.push(v as f64);
+/// }
+/// assert_eq!(exact.len(), 5);
+/// assert_eq!(exact.quantile(0.5), cdf.quantile(0.5));
+/// assert_eq!(exact.quantile(0.99), 40.0);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct CountCdf {
+    counts: FxHashMap<u64, u64>,
+    n: u64,
+}
+
+impl CountCdf {
+    /// Creates an empty distribution.
+    pub fn new() -> Self {
+        CountCdf::default()
+    }
+
+    /// Adds one sample.
+    #[inline]
+    pub fn push(&mut self, v: u64) {
+        *self.counts.entry(v).or_insert(0) += 1;
+        self.n += 1;
+    }
+
+    /// Folds another distribution into this one; the result equals
+    /// pushing both sample streams into one builder.
+    pub fn merge(&mut self, other: &CountCdf) {
+        for (&v, &c) in &other.counts {
+            *self.counts.entry(v).or_insert(0) += c;
+        }
+        self.n += other.n;
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> u64 {
+        self.n
+    }
+
+    /// Whether no samples have been added.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// The `q`-quantile (0.0 ..= 1.0) by nearest-rank, as
+    /// [`Cdf::quantile`]; 0.0 if empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is outside `[0, 1]`.
+    pub fn quantile(&self, q: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&q), "quantile out of range");
+        if self.n == 0 {
+            return 0.0;
+        }
+        // The 0-based rank Cdf::quantile reads from its sorted samples.
+        let rank = (((q * self.n as f64).ceil() as u64).max(1) - 1).min(self.n - 1);
+        let mut values: Vec<(u64, u64)> = self.counts.iter().map(|(&v, &c)| (v, c)).collect();
+        values.sort_unstable_by_key(|&(v, _)| v);
+        let mut below = 0;
+        for (v, c) in values {
+            below += c;
+            if rank < below {
+                return v as f64;
+            }
+        }
+        unreachable!("rank {rank} lies below the sample count {}", self.n)
     }
 }
 

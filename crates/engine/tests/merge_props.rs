@@ -2,7 +2,9 @@
 //! accumulators must be indistinguishable from accumulating the
 //! concatenated sample stream on one accumulator.
 
-use gvc_engine::{Cdf, Counter, Cycle, Duration, Histogram, IntervalSampler, RunningStats};
+use gvc_engine::{
+    Cdf, CountCdf, Counter, Cycle, Duration, Histogram, IntervalSampler, RunningStats,
+};
 use proptest::prelude::*;
 
 fn accumulate(xs: &[f64]) -> RunningStats {
@@ -176,4 +178,82 @@ fn merging_two_empty_running_stats_is_empty() {
     assert_eq!(a.population_std_dev(), 0.0);
     assert_eq!(a.min(), 0.0);
     assert_eq!(a.max(), 0.0);
+}
+
+/// The nearest-rank quantiles the service figures read, plus the ends.
+const QS: [f64; 5] = [0.0, 0.5, 0.9, 0.99, 1.0];
+
+/// Integer samples with many ties: values from a small range, then
+/// occasionally a large one.
+fn samples(raw: &[u64]) -> Vec<u64> {
+    raw.iter()
+        .map(|&r| if r % 16 == 0 { r >> 20 } else { r % 37 })
+        .collect()
+}
+
+proptest! {
+    #[test]
+    fn count_cdf_quantile_equals_cdf_quantile(
+        raw in prop::collection::vec(any::<u64>(), 1..300),
+    ) {
+        let xs = samples(&raw);
+        let mut exact = CountCdf::new();
+        let mut cdf = Cdf::new();
+        for &x in &xs {
+            exact.push(x);
+            cdf.push(x as f64);
+        }
+        prop_assert_eq!(exact.len(), xs.len() as u64);
+        for q in QS {
+            prop_assert_eq!(exact.quantile(q).to_bits(), cdf.quantile(q).to_bits(), "q={}", q);
+        }
+    }
+
+    #[test]
+    fn count_cdf_merge_equals_single_stream(
+        raw in prop::collection::vec(any::<u64>(), 0..300),
+        tenants in 1usize..9,
+    ) {
+        // Split one stream round-robin over per-tenant builders, as the
+        // service loop does, and merge them back.
+        let xs = samples(&raw);
+        let mut whole = CountCdf::new();
+        let mut parts = vec![CountCdf::new(); tenants];
+        for (i, &x) in xs.iter().enumerate() {
+            whole.push(x);
+            parts[i % tenants].push(x);
+        }
+        let mut merged = CountCdf::new();
+        for p in &parts {
+            merged.merge(p);
+        }
+        prop_assert_eq!(merged.len(), whole.len());
+        for q in QS {
+            prop_assert_eq!(merged.quantile(q).to_bits(), whole.quantile(q).to_bits(), "q={}", q);
+        }
+    }
+}
+
+#[test]
+fn count_cdf_edge_cases_match_cdf() {
+    let check = |xs: &[u64]| {
+        let mut exact = CountCdf::new();
+        let mut cdf = Cdf::new();
+        for &x in xs {
+            exact.push(x);
+            cdf.push(x as f64);
+        }
+        for q in QS {
+            assert_eq!(exact.quantile(q), cdf.quantile(q), "{xs:?} q={q}");
+        }
+    };
+    check(&[]);
+    check(&[7]);
+    check(&[3, 3, 3, 3]);
+    check(&[5, 1, 5, 1, 5]);
+    check(&[0, u32::MAX as u64, 1 << 40]);
+    let hundred: Vec<u64> = (1..=100).rev().collect();
+    check(&hundred);
+    assert!(CountCdf::new().is_empty());
+    assert_eq!(CountCdf::new().quantile(0.99), 0.0);
 }

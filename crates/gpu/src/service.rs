@@ -32,7 +32,7 @@
 use gvc::{inject, InjectEvent, InjectPlan, InjectReport};
 use gvc::{LineAccess, MemorySystem, SystemConfig};
 use gvc_engine::time::Cycle;
-use gvc_engine::{Cdf, SimRng};
+use gvc_engine::{CountCdf, SimRng};
 use gvc_mem::{OsLite, Perms, ProcessId, VRange, LINE_BYTES, PAGE_BYTES};
 use gvc_soc::{Probe, ProbeKind};
 use serde::{Deserialize, Serialize};
@@ -241,7 +241,8 @@ struct Tenant {
     next_arrival: u64,
     accesses: u64,
     stall_cycles: u64,
-    stalls: Cdf,
+    /// Exact per-access stall distribution (value → count).
+    stalls: CountCdf,
     evictions: u64,
 }
 
@@ -303,7 +304,7 @@ pub fn run_service(sc: &ServiceConfig, sys: SystemConfig) -> ServiceReport {
                 next_arrival: first_arrival,
                 accesses: 0,
                 stall_cycles: 0,
-                stalls: Cdf::new(),
+                stalls: CountCdf::new(),
                 evictions: 0,
             }
         })
@@ -389,7 +390,7 @@ pub fn run_service(sc: &ServiceConfig, sys: SystemConfig) -> ServiceReport {
             let stall = res.done_at.raw() - at.raw();
             t.accesses += 1;
             t.stall_cycles += stall;
-            t.stalls.push(stall as f64);
+            t.stalls.push(stall);
             total_accesses += 1;
             aggregate_stall += stall;
 
@@ -438,10 +439,10 @@ pub fn run_service(sc: &ServiceConfig, sys: SystemConfig) -> ServiceReport {
     let end = end.max(now);
     let mem_report = mem.finish(Cycle::new(end));
 
-    let mut all_stalls = Cdf::new();
+    let mut all_stalls = CountCdf::new();
     let mut rates = Vec::with_capacity(sc.tenants);
     let per_tenant: Vec<TenantStats> = tenants
-        .iter_mut()
+        .iter()
         .map(|t| {
             all_stalls.merge(&t.stalls);
             rates.push(t.accesses as f64 / (1.0 + t.stall_cycles as f64));

@@ -26,6 +26,45 @@ const LINE_SHIFT: u32 = LINE_BYTES.trailing_zeros();
 )]
 pub struct Asid(pub u16);
 
+impl Asid {
+    /// Bit position of the ASID in [`Asid::map_key`].
+    pub const MAP_KEY_SHIFT: u32 = 48;
+
+    /// Packs `(self, index)` into one `u64` hash-map key, where `index`
+    /// is a line index or VPN below 2^48: the index fills the low 48
+    /// bits and the ASID sits above them.
+    ///
+    /// The index must be the low part. FxHash hashes a `u64` with one
+    /// multiply, and the map picks a bucket from the product's low
+    /// bits, which depend only on the key's low bits. With the ASID
+    /// low, every key of one address space would land in one bucket.
+    ///
+    /// ```
+    /// use gvc_mem::Asid;
+    ///
+    /// let key = Asid(3).map_key(0x1234);
+    /// assert_eq!(key & 0xFFFF, 0x1234);
+    /// assert_eq!(Asid::from_map_key(key), (Asid(3), 0x1234));
+    /// ```
+    #[inline]
+    pub const fn map_key(self, index: u64) -> u64 {
+        debug_assert!(
+            index >> Asid::MAP_KEY_SHIFT == 0,
+            "map-key index exceeds 48 bits"
+        );
+        index | (self.0 as u64) << Asid::MAP_KEY_SHIFT
+    }
+
+    /// Splits a key built by [`Asid::map_key`] back into its parts.
+    #[inline]
+    pub const fn from_map_key(key: u64) -> (Asid, u64) {
+        (
+            Asid((key >> Asid::MAP_KEY_SHIFT) as u16),
+            key & ((1 << Asid::MAP_KEY_SHIFT) - 1),
+        )
+    }
+}
+
 impl fmt::Display for Asid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "asid{}", self.0)

@@ -5,6 +5,7 @@
 //! Entries are keyed by `(Asid, Vpn)` so homonyms (the same virtual
 //! page in different address spaces) never collide.
 
+use gvc_engine::lru::SetStore;
 use gvc_engine::time::Cycle;
 use gvc_engine::{Counter, FxHashMap};
 use gvc_mem::{Asid, Perms, Ppn, Vpn};
@@ -23,6 +24,20 @@ impl TlbKey {
     /// Builds a key.
     pub fn new(asid: Asid, vpn: Vpn) -> Self {
         TlbKey { asid, vpn }
+    }
+
+    /// The key as one `u64` hash-map key ([`Asid::map_key`]): the VPN
+    /// in the low 48 bits, the ASID above.
+    #[inline]
+    pub fn map_key(&self) -> u64 {
+        self.asid.map_key(self.vpn.raw())
+    }
+
+    /// Inverse of [`TlbKey::map_key`].
+    #[inline]
+    pub fn from_map_key(key: u64) -> TlbKey {
+        let (asid, vpn) = Asid::from_map_key(key);
+        TlbKey::new(asid, Vpn::new(vpn))
     }
 }
 
@@ -135,17 +150,9 @@ impl TlbConfig {
     }
 }
 
-/// Filler for unoccupied flat-array slots (never observable: scans
-/// stop at each set's occupancy).
-const EMPTY_KEY: TlbKey = TlbKey {
-    asid: Asid(0),
-    vpn: Vpn::new(0),
-};
-const EMPTY_ENTRY: TlbEntry = TlbEntry {
-    ppn: Ppn::new(0),
-    perms: Perms::NONE,
-    inserted_at: Cycle::ZERO,
-};
+/// Words of an entry's record in the tag store: frame, insert cycle,
+/// permission bits.
+const RECORD_WORDS: usize = 3;
 
 /// TLB statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -188,26 +195,19 @@ impl TlbStats {
 #[derive(Debug)]
 pub struct Tlb {
     config: TlbConfig,
-    /// Set count (1 when fully associative, 0 when infinite).
-    n_sets: usize,
-    /// `n_sets - 1` when that is a power of two (every real geometry),
-    /// so [`Self::set_index`] masks instead of divides.
+    /// `sets - 1` when the set count is a power of two (every real
+    /// geometry), so [`Self::set_index`] masks instead of divides.
     set_mask: Option<u64>,
-    /// Struct-of-arrays bounded storage, strided by way: slot `(s, w)`
-    /// lives at `s*ways + w`; set `s` occupies
-    /// `s*ways .. s*ways + occupancy[s]`. The way scan touches only
-    /// `keys`; within-set slot order replicates the previous per-set
-    /// `Vec` exactly (append on fill, swap-remove on evict, ordered
-    /// compaction on invalidate).
-    keys: Vec<TlbKey>,
-    /// The same keys packed to one `u64` each ([`Self::pack`]), kept
-    /// in lockstep with `keys`: the way scan compares these, because a
-    /// padded struct compare defeats vectorization and a dense `u64`
-    /// compare does not.
-    packed: Vec<u64>,
-    entries: Vec<TlbEntry>,
-    last_use: Vec<u64>,
-    occupancy: Vec<u32>,
+    /// Bounded storage (1 set when fully associative, 0 when
+    /// infinite): per set, one block of the live count, the packed
+    /// keys ([`Self::pack`]), the LRU stamps and one 3-word record per
+    /// entry. [`TlbKey`]s are unpacked from the tags, so no second key
+    /// array is kept. Stamps come from `use_clock`, which every bounded
+    /// lookup and insert advances, so they are unique and the victim
+    /// is their first minimum ([`gvc_engine::lru::victim`]). Within-set
+    /// slot order is that of a per-set `Vec` (append on fill,
+    /// swap-remove on evict, ordered compaction on invalidate).
+    store: SetStore<RECORD_WORDS>,
     /// Infinite organization storage.
     unbounded: FxHashMap<TlbKey, TlbEntry>,
     /// MRU hint: `(key, slot, set)` of the most recent bounded hit or
@@ -218,7 +218,6 @@ pub struct Tlb {
     /// (keys are unique, so a verified match IS the entry), and a
     /// stale hint just falls back to the scan.
     last_hit: Option<(TlbKey, usize, usize)>,
-    ways: usize,
     use_clock: u64,
     stats: TlbStats,
     /// The reach sub-array, when configured: a nested single-array TLB
@@ -255,19 +254,12 @@ impl Tlb {
             }
             TlbOrganization::Infinite => (0, 0),
         };
-        let total = nsets * ways;
         Tlb {
             config,
-            n_sets: nsets,
             set_mask: (nsets > 0 && nsets.is_power_of_two()).then(|| nsets as u64 - 1),
-            keys: vec![EMPTY_KEY; total],
-            packed: vec![0; total],
-            entries: vec![EMPTY_ENTRY; total],
-            last_use: vec![0; total],
-            occupancy: vec![0; nsets],
+            store: SetStore::new(nsets, ways),
             unbounded: FxHashMap::default(),
             last_hit: None,
-            ways,
             use_clock: 0,
             stats: TlbStats::default(),
             reach,
@@ -322,7 +314,7 @@ impl Tlb {
         if self.is_infinite() {
             self.unbounded.len()
         } else {
-            self.occupancy.iter().map(|&n| n as usize).sum()
+            self.store.total_len()
         }
     }
 
@@ -343,6 +335,12 @@ impl Tlb {
         (key.vpn.raw() << 16) | key.asid.0 as u64
     }
 
+    /// Inverse of [`Self::pack`].
+    #[inline]
+    fn unpack(tag: u64) -> TlbKey {
+        TlbKey::new(Asid(tag as u16), Vpn::new(tag >> 16))
+    }
+
     fn set_index(&self, key: TlbKey) -> usize {
         // Mix the ASID in so homonym-heavy workloads spread across sets.
         // An odd-constant multiply folds ASID bits below the set-index
@@ -353,15 +351,25 @@ impl Tlb {
         // Identical result either way; the mask path skips the division.
         match self.set_mask {
             Some(mask) => (folded & mask) as usize,
-            None => (folded % self.n_sets as u64) as usize,
+            None => (folded % self.store.sets() as u64) as usize,
         }
     }
 
-    /// The occupied slot range of set `set` in the flat arrays.
+    /// An entry's tag-store record.
     #[inline]
-    fn span(&self, set: usize) -> (usize, usize) {
-        let base = set * self.ways;
-        (base, base + self.occupancy[set] as usize)
+    fn record(e: &TlbEntry) -> [u64; RECORD_WORDS] {
+        [e.ppn.raw(), e.inserted_at.raw(), e.perms.bits() as u64]
+    }
+
+    /// The entry in one way.
+    #[inline]
+    fn entry_at(&self, set: usize, way: usize) -> TlbEntry {
+        let r = self.store.record(set, way);
+        TlbEntry {
+            ppn: Ppn::new(r[0]),
+            inserted_at: Cycle::new(r[1]),
+            perms: Perms::from_bits(r[2] as u8),
+        }
     }
 
     /// Looks up a translation, updating recency on a hit.
@@ -398,30 +406,20 @@ impl Tlb {
             self.unbounded.get(&key).copied()
         } else {
             self.use_clock += 1;
-            let clock = self.use_clock;
-            if let Some((hk, idx, hset)) = self.last_hit {
-                if hk == key {
-                    let (base, end) = self.span(hset);
-                    if idx >= base && idx < end && self.keys[idx] == key {
-                        self.last_use[idx] = clock;
-                        self.stats.hits.inc();
-                        return Some(self.entries[idx]);
-                    }
+            let p = Self::pack(key);
+            if let Some((hk, way, hset)) = self.last_hit {
+                if hk == key && way < self.store.len(hset) && self.store.tag(hset, way) == p {
+                    self.store.touch(hset, way, self.use_clock);
+                    self.stats.hits.inc();
+                    return Some(self.entry_at(hset, way));
                 }
             }
             let set = self.set_index(key);
-            let p = Self::pack(key);
-            let (base, end) = self.span(set);
-            let mut hit = None;
-            for i in base..end {
-                if self.packed[i] == p {
-                    self.last_use[i] = clock;
-                    self.last_hit = Some((key, i, set));
-                    hit = Some(self.entries[i]);
-                    break;
-                }
-            }
-            hit
+            self.store.find(set, p).map(|way| {
+                self.store.touch(set, way, self.use_clock);
+                self.last_hit = Some((key, way, set));
+                self.entry_at(set, way)
+            })
         };
         if found.is_some() {
             self.stats.hits.inc();
@@ -456,11 +454,9 @@ impl Tlb {
             self.unbounded.get(&key).copied()
         } else {
             let set = self.set_index(key);
-            let p = Self::pack(key);
-            let (base, end) = self.span(set);
-            (base..end)
-                .find(|&i| self.packed[i] == p)
-                .map(|i| self.entries[i])
+            self.store
+                .find(set, Self::pack(key))
+                .map(|way| self.entry_at(set, way))
         }
     }
 
@@ -477,51 +473,28 @@ impl Tlb {
             return None;
         }
         self.use_clock += 1;
-        let clock = self.use_clock;
         let set = self.set_index(key);
         let p = Self::pack(key);
-        let (base, mut end) = self.span(set);
-        for i in base..end {
-            if self.packed[i] == p {
-                self.entries[i] = entry;
-                self.last_use[i] = clock;
-                self.last_hit = Some((key, i, set));
-                return None;
-            }
+        if let Some(way) = self.store.find(set, p) {
+            *self.store.record_mut(set, way) = Self::record(&entry);
+            self.store.touch(set, way, self.use_clock);
+            self.last_hit = Some((key, way, set));
+            return None;
         }
         let mut displaced = None;
-        if end - base >= self.ways {
-            // First slot with the minimum use clock, in scan order —
-            // the same victim `min_by_key` picked on the old layout.
-            let mut victim = base;
-            for i in base + 1..end {
-                if self.last_use[i] < self.last_use[victim] {
-                    victim = i;
-                }
-            }
-            let v_key = self.keys[victim];
-            let v_entry = self.entries[victim];
-            // swap_remove: the set's last slot moves into the hole.
-            let last = end - 1;
-            self.keys[victim] = self.keys[last];
-            self.packed[victim] = self.packed[last];
-            self.entries[victim] = self.entries[last];
-            self.last_use[victim] = self.last_use[last];
-            self.occupancy[set] -= 1;
-            end -= 1;
-            self.stats.evictions.inc();
+        if self.store.len(set) >= self.store.ways() {
+            let way = self.store.victim(set);
             displaced = Some(Evicted {
-                key: v_key,
-                entry: v_entry,
+                key: Self::unpack(self.store.tag(set, way)),
+                entry: self.entry_at(set, way),
                 evicted_at: now,
             });
+            self.store.swap_remove(set, way);
+            self.stats.evictions.inc();
         }
-        self.keys[end] = key;
-        self.packed[end] = p;
-        self.entries[end] = entry;
-        self.last_use[end] = clock;
-        self.occupancy[set] += 1;
-        self.last_hit = Some((key, end, set));
+        self.store
+            .push(set, p, self.use_clock, Self::record(&entry));
+        self.last_hit = Some((key, self.store.len(set) - 1, set));
         displaced
     }
 
@@ -556,28 +529,6 @@ impl Tlb {
         self.insert(key, ppn, perms, now)
     }
 
-    /// Removes every slot of `set` failing `keep`, preserving the
-    /// relative order of survivors (`Vec::retain` semantics); returns
-    /// how many were removed.
-    fn retain_set(&mut self, set: usize, keep: impl Fn(TlbKey) -> bool) -> usize {
-        let (base, end) = self.span(set);
-        let mut write = base;
-        for read in base..end {
-            if keep(self.keys[read]) {
-                if write != read {
-                    self.keys[write] = self.keys[read];
-                    self.packed[write] = self.packed[read];
-                    self.entries[write] = self.entries[read];
-                    self.last_use[write] = self.last_use[read];
-                }
-                write += 1;
-            }
-        }
-        let removed = end - write;
-        self.occupancy[set] = (write - base) as u32;
-        removed
-    }
-
     /// Invalidates one entry; returns whether anything was removed.
     ///
     /// With a reach sub-array, the reach entry covering `key.vpn` is
@@ -590,7 +541,8 @@ impl Tlb {
             self.unbounded.remove(&key).is_some()
         } else {
             let set = self.set_index(key);
-            self.retain_set(set, |k| k != key) != 0
+            let p = Self::pack(key);
+            self.store.retain(set, |t| t != p) != 0
         };
         if base_removed {
             self.stats.invalidations.inc();
@@ -617,8 +569,8 @@ impl Tlb {
             self.unbounded.retain(|k, _| k.asid != asid);
             removed = before - self.unbounded.len();
         } else {
-            for set in 0..self.n_sets {
-                removed += self.retain_set(set, |k| k.asid != asid);
+            for set in 0..self.store.sets() {
+                removed += self.store.retain(set, |t| Self::unpack(t).asid != asid);
             }
         }
         self.stats.invalidations.add(removed as u64);
@@ -633,7 +585,7 @@ impl Tlb {
     pub fn flush(&mut self) -> usize {
         let n = self.len();
         self.unbounded.clear();
-        self.occupancy.fill(0);
+        self.store.clear();
         self.stats.invalidations.add(n as u64);
         n + self.reach.as_mut().map_or(0, |r| r.flush())
     }
@@ -641,9 +593,13 @@ impl Tlb {
     /// Iterates over resident base-array entries (diagnostics and
     /// invariants); see [`Self::iter_reach`] for the reach sub-array.
     pub fn iter(&self) -> impl Iterator<Item = (TlbKey, TlbEntry)> + '_ {
-        let bounded = (0..self.n_sets).flat_map(move |set| {
-            let (base, end) = self.span(set);
-            (base..end).map(move |i| (self.keys[i], self.entries[i]))
+        let bounded = (0..self.store.sets()).flat_map(move |set| {
+            (0..self.store.len(set)).map(move |way| {
+                (
+                    Self::unpack(self.store.tag(set, way)),
+                    self.entry_at(set, way),
+                )
+            })
         });
         let unbounded = self.unbounded.iter().map(|(k, e)| (*k, *e));
         bounded.chain(unbounded)
@@ -656,14 +612,13 @@ impl Tlb {
     /// accelerator whose absence changes no lookup result, recency
     /// update, or statistic.
     pub fn snapshot(&self) -> TlbSnapshot {
-        let sets = (0..self.n_sets)
+        let sets = (0..self.store.sets())
             .map(|set| {
-                let (base, end) = self.span(set);
-                (base..end)
-                    .map(|i| TlbSlotSnapshot {
-                        key: self.keys[i],
-                        entry: self.entries[i],
-                        last_use: self.last_use[i],
+                (0..self.store.len(set))
+                    .map(|way| TlbSlotSnapshot {
+                        key: Self::unpack(self.store.tag(set, way)),
+                        entry: self.entry_at(set, way),
+                        last_use: self.store.stamp(set, way),
                     })
                     .collect()
             })
@@ -693,25 +648,22 @@ impl Tlb {
         assert_eq!(self.config, snap.config, "TLB snapshot config mismatch");
         assert_eq!(
             snap.sets.len(),
-            self.n_sets,
+            self.store.sets(),
             "TLB snapshot set count mismatch"
         );
-        self.occupancy.fill(0);
+        self.store.clear();
         self.unbounded.clear();
         for (set, slots) in snap.sets.iter().enumerate() {
             assert!(
-                slots.len() <= self.ways,
+                slots.len() <= self.store.ways(),
                 "TLB snapshot set {set} overflows {} ways",
-                self.ways
+                self.store.ways()
             );
-            let base = set * self.ways;
-            for (w, slot) in slots.iter().enumerate() {
-                self.keys[base + w] = slot.key;
-                self.packed[base + w] = Self::pack(slot.key);
-                self.entries[base + w] = slot.entry;
-                self.last_use[base + w] = slot.last_use;
+            for slot in slots {
+                let tag = Self::pack(slot.key);
+                self.store
+                    .push(set, tag, slot.last_use, Self::record(&slot.entry));
             }
-            self.occupancy[set] = slots.len() as u32;
         }
         for &(k, e) in &snap.unbounded {
             self.unbounded.insert(k, e);
@@ -818,6 +770,18 @@ mod tests {
             Perms::READ_WRITE,
             Cycle::new(0),
         );
+    }
+
+    #[test]
+    fn map_key_keeps_vpn_bits_low() {
+        let k = TlbKey::new(Asid(0xBEEF), Vpn::new((1 << 47) | 0x1234));
+        assert_eq!(
+            k.map_key() & ((1 << 48) - 1),
+            k.vpn.raw(),
+            "VPN in bits 0..48"
+        );
+        assert_eq!(k.map_key() >> 48, 0xBEEF, "ASID above bit 48");
+        assert_eq!(TlbKey::from_map_key(k.map_key()), k);
     }
 
     #[test]

@@ -266,3 +266,47 @@ fn billion_cycle_injection_soak_stays_bounded_and_conserves() {
     );
     report.check_conservation();
 }
+
+/// 64-bit FNV-1a: a stable, dependency-free content fingerprint.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Checkpoint guard: the exact bytes of a crash drill's on-disk
+/// checkpoint at epoch 3, one per design. The fingerprints were taken
+/// before the tag stores became set-contiguous and the miss maps moved
+/// to packed keys, so they show that the storage layout behind
+/// `CacheSnapshot`, `TlbSnapshot`, `MshrSnapshot` and the in-flight
+/// translation maps leaves the checkpoint format unchanged. A
+/// deliberate format or behavior change updates them; the failure
+/// message prints the new values.
+#[test]
+fn crash_drill_checkpoint_bytes_are_pinned() {
+    const PINNED: [(&str, u64); 2] = [
+        ("baseline", 0x8386_9615_9d19_0493),
+        ("vc", 0xaf68_34e0_c2a4_f792),
+    ];
+    let dir = tmp_dir("pinned_ckpt");
+    let mut drill = spec(&["baseline", "vc"], Some(dir.clone()));
+    drill.kill_after = Some(3);
+    let killed = soak::collect(&drill).expect("crash drill");
+    assert_eq!(killed.outcome, SoakOutcome::Killed { at_epoch: 3 });
+    let got: Vec<(&str, u64)> = PINNED
+        .iter()
+        .map(|&(design, _)| {
+            let path = soak::checkpoint_path(&dir, design);
+            let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            (design, fnv1a(&bytes))
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        got, PINNED,
+        "checkpoint bytes drifted (got on the left, as FNV-1a per design)"
+    );
+}
